@@ -99,12 +99,3 @@ def pytest_sessionfinish(session, exitstatus):
     out.mkdir(parents=True, exist_ok=True)
     for stem, entries in sorted(_BENCH_RESULTS.items()):
         (out / f"BENCH_{stem}.json").write_text(json.dumps(entries, indent=2))
-    # Fold everything emitted so far (this session's files plus any earlier
-    # modules still present in the output directory) into the perf-trajectory
-    # artifact.  Best-effort: a fold failure must never fail the session.
-    try:
-        from repro.bench.trajectory import fold_trajectory
-
-        fold_trajectory(out)
-    except Exception:  # noqa: BLE001 - reporting only
-        pass

@@ -1,39 +1,28 @@
-"""Benchmark: the three analytics tiers — vectorized / loops / reference.
+"""Benchmark: the two analytics tiers — vectorized CSR kernels vs reference.
 
-The kernel value claim behind PR 4: once a graph is frozen to CSR, the
-workload's traversal analytics must do their work in interned integer space —
-bulk k-hop neighbourhoods over one shared epoch-stamped visited buffer, and
-label propagation over a once-built undirected adjacency with integer-rank
-tie-breaks — instead of re-walking ``VertexId``-keyed dicts per vertex.
-This PR's claim on top: the ndarray-backed store must run those kernels as
-whole-array numpy operations, at least ``MIN_VECTOR_TIME_REDUCTION``x faster
-than the pure-python loop kernels they replace.
+The kernel value claim: once a graph is frozen to CSR, the workload's
+traversal analytics must do their work in interned integer space as
+whole-array numpy operations — bulk k-hop neighbourhoods as one multi-source
+sweep, label propagation as one segmented vote per pass over a once-built
+undirected adjacency with integer-rank tie-breaks — instead of re-walking
+``VertexId``-keyed dicts per vertex.
 
-Three claims are asserted:
+Deterministic gates (asserted on every run, on any machine):
 
-* **Deterministic (runs in CI):** the reference label propagation re-fetches
-  the undirected adjacency from the store on *every* pass, while the kernel
-  pulls it exactly once — so the store-read counters must show at least a
-  ``MIN_STORE_READ_REDUCTION``x reduction regardless of machine.  The
-  reference's reads are counted by an instrumented store wrapper, the
-  kernel's by :class:`repro.analytics.kernels.KernelStats`.
-* **Deterministic (runs in CI):** the vectorized tier must replace at least
-  ``MIN_VECTOR_STEP_REDUCTION``x interpreted steps per whole-array operation:
-  the loop tier executes one interpreted iteration per traversal edge, the
-  vectorized tier one batched operation per frontier gather / dedup / vote
-  (``KernelStats.batched_ops``), and both tiers agree on every other counter.
-* **Wall-clock (full mode only):** the kernels must beat the dict reference
-  by ``MIN_TIME_REDUCTION``x and the vectorized tier must beat the loop tier
-  by ``MIN_VECTOR_TIME_REDUCTION``x on the combined bulk k-hop + label
-  propagation workload (with a per-kernel
-  ``MIN_VECTOR_KERNEL_TIME_REDUCTION``x floor).
-  ``ANALYTICS_BENCH_SMOKE=1`` (as CI does) shrinks the graph and skips the
-  wall-clock assertions, which are flaky on slow shared runners; every
-  differential identity and counter gate still holds.
+* the kernels answer row-identically to the dict reference;
+* the bulk sweep consumes exactly the adjacency entries the reference
+  fetches (``KernelStats.traversal_edges`` vs an instrumented store);
+* the reference label propagation re-fetches the undirected adjacency from
+  the store on *every* pass, while the kernel pulls it exactly once — at
+  least a ``MIN_STORE_READ_REDUCTION``x store-read reduction;
+* the vectorized tier replaces at least ``MIN_VECTOR_STEP_REDUCTION``
+  interpreted per-edge steps per whole-array operation
+  (``traversal_edges / batched_ops``).
 
-``BENCH_test_analytics_kernels.json`` records the per-tier timings
-(``*_seconds_vectorized`` / ``*_seconds_loops`` / ``*_seconds_reference``)
-so the perf trajectory across PRs stays machine-readable.
+Wall-clock numbers are printed and recorded (``bench_record`` →
+``BENCH_analytics_kernels.json``), never asserted: timing is judged by
+``perf/run.py compare`` against the ledger, not by per-PR thresholds.
+``ANALYTICS_BENCH_SMOKE=1`` (as CI does) shrinks the graphs.
 """
 
 from __future__ import annotations
@@ -41,8 +30,6 @@ from __future__ import annotations
 import os
 import time
 from typing import Iterable
-
-import pytest
 
 from repro.analytics import bulk_k_hop_counts, label_propagation
 from repro.analytics import kernels
@@ -53,28 +40,19 @@ from repro.storage.csr import CSRGraphStore
 
 SMOKE = os.environ.get("ANALYTICS_BENCH_SMOKE") == "1"
 
-#: Required wall-clock advantage of the kernels over the dict reference
-#: (full mode).
-MIN_TIME_REDUCTION = 3.0
 #: Required store-adjacency-read advantage of the label-propagation kernel
 #: (asserted always — the counters are deterministic).
 MIN_STORE_READ_REDUCTION = 3.0
-#: Required wall-clock advantage of the vectorized tier over the loop tier
-#: on the combined bulk-k-hop + label-propagation workload (full mode).
-MIN_VECTOR_TIME_REDUCTION = 5.0
-#: Per-kernel wall-clock sanity floor (full mode): the combined gate must
-#: not be carried by one kernel while the other regresses to loop speed.
-MIN_VECTOR_KERNEL_TIME_REDUCTION = 2.0
 #: Required interpreted-steps-per-batched-op advantage of the vectorized tier
 #: (asserted always — both counters are deterministic).
 MIN_VECTOR_STEP_REDUCTION = 5.0
 
 NUM_JOBS = 150 if SMOKE else 1200
-#: The tier shoot-out runs on a larger graph than the kernel-vs-reference
-#: tests: whole-array operations amortize fixed per-hop costs, so the
-#: vectorized tier's wall-clock margin is a function of frontier width and
-#: the reference tier (timed once, not best-of) would dominate the runtime
-#: of the smaller tests' differential setup if they shared this size.
+#: The step-reduction test runs on a larger graph than the timed
+#: kernel-vs-reference tests: whole-array operations amortize fixed per-hop
+#: costs, so steps-per-op is a function of frontier width — and the
+#: reference (best-of-N there, run once here) would dominate the runtime of
+#: the smaller tests if they shared this size.
 TIER_NUM_JOBS = NUM_JOBS if SMOKE else 15000
 LINEAGE_HOPS = 4
 LP_PASSES = 8 if SMOKE else 25
@@ -150,11 +128,6 @@ def test_bulk_k_hop_kernel_beats_per_vertex_reference(monkeypatch, bench_record)
           f"reference {reference_seconds * 1000:.1f}ms vs kernel "
           f"{kernel_seconds * 1000:.1f}ms -> {reduction:.1f}x")
     bench_record("bulk_k_hop", "kernel_vs_reference_speedup", reduction)
-    if not SMOKE:
-        assert reduction >= MIN_TIME_REDUCTION, (
-            f"bulk k-hop kernel should cut traversal time >= "
-            f"{MIN_TIME_REDUCTION}x vs the per-vertex reference, got "
-            f"{reduction:.1f}x")
 
 
 def test_label_propagation_kernel_reduces_store_reads_and_time(
@@ -199,27 +172,14 @@ def test_label_propagation_kernel_reduces_store_reads_and_time(
           f"{reference_seconds * 1000:.1f}ms vs kernel "
           f"{kernel_seconds * 1000:.1f}ms -> {reduction:.1f}x")
     bench_record("label_propagation", "kernel_vs_reference_speedup", reduction)
-    if not SMOKE:
-        assert reduction >= MIN_TIME_REDUCTION, (
-            f"label-propagation kernel should cut time >= "
-            f"{MIN_TIME_REDUCTION}x vs the Counter/str reference, got "
-            f"{reduction:.1f}x")
 
 
-def test_vectorized_tier_beats_loop_tier(monkeypatch, bench_record):
-    """The headline gate of the vectorization PR, asserted per tier.
-
-    All three tiers must answer bulk k-hop and label propagation
-    row-identically; the vectorized tier must replace >=
-    ``MIN_VECTOR_STEP_REDUCTION`` interpreted loop steps per whole-array
-    operation (deterministic counters, gates CI); and in full mode it must
-    also win >= ``MIN_VECTOR_TIME_REDUCTION``x wall-clock over the loop tier.
-    """
-    if not kernels.numpy_available():
-        pytest.skip("numpy unavailable: this process has no vectorized tier")
+def test_vectorized_tier_step_reduction(monkeypatch, bench_record):
+    """At scale the vectorized tier answers row-identically to the reference
+    and replaces >= ``MIN_VECTOR_STEP_REDUCTION`` interpreted per-edge steps
+    per whole-array operation (deterministic counters)."""
     graph = summarized_provenance_graph(num_jobs=TIER_NUM_JOBS, seed=17)
     store = CSRGraphStore.from_graph(graph)
-    assert store.uses_ndarrays
 
     def run_bulk(stats=None):
         return kernels.bulk_k_hop_counts(store, LINEAGE_HOPS, direction="in",
@@ -230,26 +190,13 @@ def test_vectorized_tier_beats_loop_tier(monkeypatch, bench_record):
         return kernels.label_propagation(store, passes=LP_PASSES,
                                          write_property=None, stats=stats)
 
-    results: dict[str, tuple] = {}
-    timings: dict[str, tuple[float, float]] = {}
-    tier_stats: dict[str, kernels.KernelStats] = {}
-    for tier in ("vectorized", "loops"):
-        with monkeypatch.context() as patch:
-            patch.delenv(kernels.FORCE_REFERENCE_ENV, raising=False)
-            if tier == "loops":
-                patch.setenv(kernels.FORCE_LOOPS_ENV, "1")
-            else:
-                patch.delenv(kernels.FORCE_LOOPS_ENV, raising=False)
-            assert kernels.kernel_tier(store) == tier
-            stats = kernels.KernelStats()
-            results[tier] = (run_bulk(stats), run_lp(stats))
-            tier_stats[tier] = stats
-            timings[tier] = (_time_best(run_bulk), _time_best(run_lp))
+    stats = kernels.KernelStats()
+    vectorized_bulk, vectorized_lp = run_bulk(stats), run_lp(stats)
+    timings = {"vectorized": (_time_best(run_bulk), _time_best(run_lp))}
     with monkeypatch.context() as patch:
         patch.setenv(kernels.FORCE_REFERENCE_ENV, "1")
-        # The reference tier exists for identity, not for the race: one
-        # timed run each (it is ~50x off the pace at this graph size, and
-        # best-of-N rounds on it would dominate the whole benchmark).
+        # The reference exists for identity, not for a race: one timed run
+        # each (best-of-N rounds on it would dominate the whole benchmark).
         start = time.perf_counter()
         reference_bulk = bulk_k_hop_counts(graph, LINEAGE_HOPS, direction="in",
                                            anchor_type="Job", vertex_type="Job")
@@ -260,21 +207,15 @@ def test_vectorized_tier_beats_loop_tier(monkeypatch, bench_record):
         timings["reference"] = (reference_bulk_seconds,
                                 time.perf_counter() - start)
 
-    # Three-way row-identical results.
-    assert results["vectorized"][0] == results["loops"][0] == reference_bulk
-    assert results["vectorized"][1] == results["loops"][1] == reference_lp
+    assert vectorized_bulk == reference_bulk
+    assert vectorized_lp == reference_lp
 
-    # Both kernel tiers agree on the deterministic traversal counters; only
-    # the vectorized tier executes batched whole-array operations.
-    vectorized, loops = tier_stats["vectorized"], tier_stats["loops"]
-    assert vectorized.traversal_edges == loops.traversal_edges
-    assert vectorized.sources == loops.sources
-    assert vectorized.passes == loops.passes
-    assert loops.batched_ops == 0
-    assert vectorized.batched_ops > 0
-    step_reduction = loops.traversal_edges / vectorized.batched_ops
-    print(f"\n[tiers] vectorized tier: {loops.traversal_edges} interpreted "
-          f"loop steps collapsed into {vectorized.batched_ops} whole-array "
+    # An edge-at-a-time traversal pays one interpreted iteration per
+    # traversal edge; the vectorized tier pays one per whole-array op.
+    assert stats.batched_ops > 0
+    step_reduction = stats.traversal_edges / stats.batched_ops
+    print(f"\n[tiers] vectorized tier: {stats.traversal_edges} per-edge "
+          f"steps collapsed into {stats.batched_ops} whole-array "
           f"ops -> {step_reduction:.1f} steps/op")
     assert step_reduction >= MIN_VECTOR_STEP_REDUCTION, (
         f"vectorized kernels should replace >= {MIN_VECTOR_STEP_REDUCTION} "
@@ -287,39 +228,8 @@ def test_vectorized_tier_beats_loop_tier(monkeypatch, bench_record):
                      lp_seconds)
     bench_record("analytics_tiers", "interpreter_steps_per_batched_op",
                  step_reduction)
-    bulk_speedup = timings["loops"][0] / max(timings["vectorized"][0], 1e-9)
-    lp_speedup = timings["loops"][1] / max(timings["vectorized"][1], 1e-9)
-    combined_speedup = (sum(timings["loops"])
-                        / max(sum(timings["vectorized"]), 1e-9))
-    bench_record("analytics_tiers", "bulk_k_hop_vectorized_vs_loops_speedup",
-                 bulk_speedup)
-    bench_record("analytics_tiers",
-                 "label_propagation_vectorized_vs_loops_speedup", lp_speedup)
-    bench_record("analytics_tiers", "combined_vectorized_vs_loops_speedup",
-                 combined_speedup)
-    print(f"[tiers] bulk {LINEAGE_HOPS}-hop: loops "
-          f"{timings['loops'][0] * 1000:.1f}ms vs vectorized "
-          f"{timings['vectorized'][0] * 1000:.1f}ms -> {bulk_speedup:.1f}x; "
-          f"label propagation: loops {timings['loops'][1] * 1000:.1f}ms vs "
-          f"vectorized {timings['vectorized'][1] * 1000:.1f}ms -> "
-          f"{lp_speedup:.1f}x; combined -> {combined_speedup:.1f}x")
-    if not SMOKE:
-        # The headline PR gate: the bulk-k-hop + label-propagation workload
-        # as a whole must run >= MIN_VECTOR_TIME_REDUCTION x faster
-        # vectorized than interpreted.  Each kernel additionally has a
-        # per-kernel floor so one kernel can never carry a regression in
-        # the other (bulk k-hop's small-frontier sweeps have the narrower
-        # intrinsic margin — sorts and gathers per edge, not python
-        # bytecodes per edge — and wobble more run-to-run).
-        assert combined_speedup >= MIN_VECTOR_TIME_REDUCTION, (
-            f"vectorized bulk k-hop + label propagation should be >= "
-            f"{MIN_VECTOR_TIME_REDUCTION}x faster than the loop tier, got "
-            f"{combined_speedup:.1f}x")
-        assert bulk_speedup >= MIN_VECTOR_KERNEL_TIME_REDUCTION, (
-            f"vectorized bulk k-hop should be >= "
-            f"{MIN_VECTOR_KERNEL_TIME_REDUCTION}x faster than the loop "
-            f"tier, got {bulk_speedup:.1f}x")
-        assert lp_speedup >= MIN_VECTOR_KERNEL_TIME_REDUCTION, (
-            f"vectorized label propagation should be >= "
-            f"{MIN_VECTOR_KERNEL_TIME_REDUCTION}x faster than the loop "
-            f"tier, got {lp_speedup:.1f}x")
+    print(f"[tiers] bulk {LINEAGE_HOPS}-hop: reference "
+          f"{timings['reference'][0] * 1000:.1f}ms vs vectorized "
+          f"{timings['vectorized'][0] * 1000:.1f}ms; label propagation: "
+          f"reference {timings['reference'][1] * 1000:.1f}ms vs vectorized "
+          f"{timings['vectorized'][1] * 1000:.1f}ms")

@@ -10,13 +10,13 @@ provenance-style graph in batches and, after each batch, measures
   as the differential oracle: after each batch the maintained connector must
   be edge-set-identical to the rebuild).
 
-The headline claim (mirrored in the README): on a 10k-edge mutation stream,
-batched delta refresh beats per-batch full re-materialization by at least
-``MIN_SPEEDUP``x.
+Asserted on every run: each batch is maintained incrementally and the
+maintained views equal the rebuild.  The delta-vs-full speedup on the
+10k-edge mutation stream is printed and recorded (``bench_record`` →
+``BENCH_maintenance.json``), never asserted: timing is judged by
+``perf/run.py compare``, not by per-PR thresholds.
 
-Set ``MAINTENANCE_BENCH_SMOKE=1`` (as CI does) to run a tiny graph/stream
-that checks the machinery and the differential identity without asserting
-wall-clock ratios.
+Set ``MAINTENANCE_BENCH_SMOKE=1`` (as CI does) to run a tiny graph/stream.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ from repro.workloads import generate_edge_mutations
 
 SMOKE = os.environ.get("MAINTENANCE_BENCH_SMOKE") == "1"
 
-#: Required advantage of batched delta refresh over full re-materialization.
-MIN_SPEEDUP = 5.0
-
 if SMOKE:
     NUM_JOBS, NUM_BATCHES, MUTATIONS_PER_BATCH = 40, 3, 40
 else:
@@ -51,7 +48,7 @@ def edge_set(graph):
     return {(e.source, e.target, e.label) for e in graph.edges()}
 
 
-def test_delta_refresh_beats_full_rematerialization():
+def test_delta_refresh_beats_full_rematerialization(bench_record):
     graph = summarized_provenance_graph(num_jobs=NUM_JOBS, seed=29)
     catalog = ViewCatalog()
     connector = catalog.materialize(graph, job_to_job_connector())
@@ -87,13 +84,9 @@ def test_delta_refresh_beats_full_rematerialization():
         f"delta refresh {delta_seconds:.3f}s vs full re-materialization "
         f"{full_seconds:.3f}s -> {speedup:.1f}x"
     )
+    bench_record("delta_refresh", "delta_vs_full_speedup", speedup)
     if not SMOKE:
         assert mutations >= 10_000 * 0.9, "stream should be ~10k mutations"
-        assert speedup >= MIN_SPEEDUP, (
-            f"batched delta refresh should be >= {MIN_SPEEDUP}x faster than "
-            f"full re-materialization, got {speedup:.1f}x "
-            f"({delta_seconds:.3f}s vs {full_seconds:.3f}s)"
-        )
 
 
 def test_log_bounded_memory_still_correct():

@@ -9,25 +9,22 @@ Two read-path micro-workloads over the power-law social network:
   out-edges (the whole-graph kernel pattern; the CSR side iterates the
   interned integer-space arrays).
 
-Both representations answer identically; the CSR snapshot must win by at
-least the acceptance factor on both workloads.
+Both representations must answer identically (asserted).  The speedups are
+printed and recorded (``bench_record`` → ``BENCH_storage_backends.json``),
+never asserted: timing is judged by ``perf/run.py compare``, not by per-PR
+thresholds.
 """
 
 from __future__ import annotations
 
 import time
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships in CI
-    np = None
+import numpy as np
 
 from repro.bench.reporting import format_table
 from repro.datasets.registry import dataset
 from repro.storage.csr import CSRGraphStore
 
-#: Acceptance factor: CSR must beat the dict graph by at least this much.
-MIN_SPEEDUP = 2.0
 #: Rank-push iterations of the PageRank-style sweep.
 SWEEP_ITERATIONS = 10
 DAMPING = 0.85
@@ -83,30 +80,16 @@ def _pagerank_sweep_csr(store) -> dict:
     offsets, targets = store.csr_arrays("out")
     n = store.num_vertices
     base = 1.0 - DAMPING
-    if np is not None and isinstance(targets, np.ndarray):
-        # ndarray backing: the sweep is three whole-array ops per iteration.
-        counts = np.diff(offsets).astype(np.int64)
-        degree = np.where(counts == 0, 1, counts).astype(np.float64)
-        segments = np.repeat(np.arange(n, dtype=np.int64), counts)
-        ranks = np.ones(n, dtype=np.float64)
-        for _ in range(SWEEP_ITERATIONS):
-            share = ranks / degree
-            incoming = np.bincount(targets, weights=share[segments], minlength=n)
-            ranks = base + DAMPING * incoming
-        return {store.id_at(index): float(ranks[index]) for index in range(n)}
-    ranks = [1.0] * n
+    # The sweep is three whole-array ops per iteration.
+    counts = np.diff(offsets).astype(np.int64)
+    degree = np.where(counts == 0, 1, counts).astype(np.float64)
+    segments = np.repeat(np.arange(n, dtype=np.int64), counts)
+    ranks = np.ones(n, dtype=np.float64)
     for _ in range(SWEEP_ITERATIONS):
-        incoming = [0.0] * n
-        for index in range(n):
-            start, end = offsets[index], offsets[index + 1]
-            degree = end - start
-            if degree == 0:
-                continue
-            share = ranks[index] / degree
-            for target in targets[start:end]:
-                incoming[target] += share
-        ranks = [base + DAMPING * value for value in incoming]
-    return {store.id_at(index): ranks[index] for index in range(n)}
+        share = ranks / degree
+        incoming = np.bincount(targets, weights=share[segments], minlength=n)
+        ranks = base + DAMPING * incoming
+    return {store.id_at(index): float(ranks[index]) for index in range(n)}
 
 
 def run_storage_comparison(scale: str) -> list[dict]:
@@ -156,7 +139,7 @@ def run_storage_comparison(scale: str) -> list[dict]:
     ]
 
 
-def test_storage_backend_throughput(benchmark):
+def test_storage_backend_throughput(benchmark, bench_record):
     # Uses the "small" scale regardless of the session default: the tiny graphs
     # are too small for stable backend timing.
     rows = benchmark.pedantic(
@@ -168,16 +151,8 @@ def test_storage_backend_throughput(benchmark):
     print(format_table(
         rows, title="Storage backends — dict PropertyGraph vs CSRGraphStore"))
 
-    by_operation = {row["operation"]: row for row in rows}
-    expansion = by_operation["neighbor expansion"]
-    sweep = by_operation["pagerank sweep"]
-    assert expansion["speedup"] >= MIN_SPEEDUP, (
-        f"CSR neighbor expansion only {expansion['speedup']:.2f}x faster "
-        f"(required {MIN_SPEEDUP}x)")
-    assert sweep["speedup"] >= MIN_SPEEDUP, (
-        f"CSR pagerank sweep only {sweep['speedup']:.2f}x faster "
-        f"(required {MIN_SPEEDUP}x)")
-    # Freezing must amortize quickly: build cost bounded by a handful of
-    # dict-backend sweeps.
-    freeze = by_operation["csr freeze (build cost)"]
-    assert freeze["csr_seconds"] < 50 * max(sweep["dict_seconds"], 1e-9)
+    for row in rows:
+        if row["speedup"] is not None:
+            bench_record(row["operation"], "csr_vs_dict_speedup", row["speedup"])
+        else:
+            bench_record(row["operation"], "csr_seconds", row["csr_seconds"])

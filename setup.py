@@ -5,10 +5,8 @@ PEP 660 editable installs (``pip install -e .``) cannot build editable wheels.
 This shim lets ``python setup.py develop`` (and thus ``pip install -e .
 --no-build-isolation`` with legacy fallbacks) work offline.
 
-``numpy`` powers the vectorized analytics kernels and the ndarray-backed CSR
-snapshots; it is a declared dependency, but every kernel degrades to the
-pure-python loop tier when it is absent (see ``repro/analytics/kernels.py``),
-so the package still imports and passes its differential suite without it.
+``numpy`` is required: the CSR snapshots are ndarrays and the analytics
+kernels, statistics and the executor's batched gather run on them.
 """
 
 from setuptools import setup

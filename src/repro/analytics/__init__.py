@@ -6,7 +6,7 @@ index-space CSR kernels (:mod:`repro.analytics.kernels`) when handed a
 auto-freeze — and otherwise runs the dict-store reference implementation.
 """
 
-from repro.analytics import kernels, parallel
+from repro.analytics import kernels
 from repro.analytics.traversal import (
     BlastRadiusEntry,
     ancestors,
@@ -44,7 +44,6 @@ __all__ = [
     "kernels",
     "label_propagation",
     "largest_community",
-    "parallel",
     "path_lengths",
     "summarize",
     "vertex_count",

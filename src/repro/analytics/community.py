@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.analytics import kernels, parallel
+from repro.analytics import kernels
 from repro.graph.property_graph import PropertyGraph, VertexId
 from repro.storage.base import GraphLike
 
@@ -48,11 +48,6 @@ def label_propagation(graph: GraphLike, passes: int = 25,
         raise ValueError(f"passes must be >= 0, got {passes}")
     store = kernels.resolve_store(graph)
     if store is not None:
-        result = parallel.try_parallel(store, "label_propagation",
-                                       passes=passes,
-                                       write_property=write_property)
-        if result is not parallel.MISS:
-            return result
         return kernels.label_propagation(store, passes=passes,
                                          write_property=write_property)
     labels: dict[VertexId, VertexId] = {v.id: v.id for v in graph.vertices()}

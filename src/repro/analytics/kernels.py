@@ -13,17 +13,17 @@ built for exactly this workload.
 This module is the compiled counterpart.  Every kernel operates directly on
 interned integer ids:
 
-* **frontier BFS** with a flat ``bytearray`` visited set
+* **frontier BFS** expanding the whole frontier with one gather per hop
+  over a boolean visited mask
   (:func:`k_hop_neighborhood`, :func:`k_hop_reachable`);
-* **bulk k-hop** — the "all vertices" variants of Q1/Q2 run as one sweep
-  over shared, epoch-stamped scratch buffers instead of V independent
-  traversals (:func:`bulk_k_hop_counts`);
+* **bulk k-hop** — the "all vertices" variants of Q1/Q2 advance every source
+  together as one multi-source sweep instead of V independent traversals
+  (:func:`bulk_k_hop_counts`);
 * **blast-radius aggregation** over int frontiers with the per-vertex type
-  mask and CPU values pre-extracted into flat arrays
-  (:func:`blast_radius_rows`);
-* **synchronous label propagation** reading neighbor labels through array
-  slices with a precomputed string-order tie-break rank, replacing the
-  per-pass ``Counter`` + ``sorted(key=str)`` (:func:`label_propagation`);
+  mask pre-extracted into a flat array (:func:`blast_radius_rows`);
+* **synchronous label propagation** as one segmented majority vote per pass
+  with a precomputed string-order tie-break rank, replacing the per-pass
+  ``Counter`` + ``sorted(key=str)`` (:func:`label_propagation`);
 * **weighted path BFS** for Q4 over once-built ``(target, edge)`` pair lists
   whose property reads stay live (:func:`path_length_rows`);
 * **k-hop simple-path enumeration** for connector materialization
@@ -38,22 +38,18 @@ enough that the one-off freeze (cached per graph version by a shared
 every call onto the dict-store reference implementations — the differential
 escape hatch.
 
-**Execution tiers.**  On an ndarray-backed store the frontier kernels (bulk
-k-hop, BFS levels, blast radius) and label propagation run *vectorized*:
-whole-frontier ``np.repeat``/gather expansion over the CSR ``(offsets,
-targets)`` ndarrays, boolean visited masks, and per-pass segmented majority
-votes — python touches each *hop*, not each edge.  The original index-space
-loop kernels stay verbatim as the second tier: they are the automatic
-fallback when numpy is absent, and :data:`FORCE_LOOPS_ENV` (=``1``) pins
-them explicitly so the three tiers (vectorized / loops / reference) can be
-differentially compared.  Tier decisions are counted in
-:data:`dispatch_counts` and mirrored into any subscribed metrics counter
-(:func:`subscribe_dispatch` — the service's
+**Execution tiers.**  There are exactly two: the *vectorized* CSR kernels in
+this module (whole-frontier ``np.repeat``/gather expansion over the CSR
+``(offsets, targets)`` ndarrays, boolean visited masks, per-pass segmented
+majority votes — python touches each *hop*, not each edge) and the dict-store
+*reference* implementations they are pinned against.  Tier decisions are
+counted in :data:`dispatch_counts` and mirrored into any subscribed metrics
+counter (:func:`subscribe_dispatch` — the service's
 ``kaskade_kernel_dispatch_total{path=...}``).
 
 Every kernel is differentially pinned, row for row, against the reference
-implementations in ``tests/analytics/test_kernels.py`` and three-way
-(vectorized == loops == reference) in ``tests/analytics/test_vectorized.py``.
+implementations in ``tests/analytics/test_kernels.py`` and
+``tests/analytics/test_vectorized.py``.
 """
 
 from __future__ import annotations
@@ -64,10 +60,7 @@ import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - exercised via forced-loop differential tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships in CI; loops fallback
-    _np = None
+import numpy as _np
 
 from repro.graph.property_graph import PropertyGraph, VertexId
 from repro.storage.base import GraphLike, underlying_graph
@@ -87,11 +80,6 @@ AUTO_FREEZE_MIN_EDGES = 4096
 #: Environment variable that forces the reference (dict-store) path when set
 #: to ``1`` — the escape hatch for debugging and differential benchmarking.
 FORCE_REFERENCE_ENV = "ANALYTICS_FORCE_REFERENCE"
-
-#: Environment variable that pins the pure-python loop kernels when set to
-#: ``1`` — the second oracle tier: CSR dispatch still happens, but every
-#: vectorized whole-array path is disabled, exactly as if numpy were absent.
-FORCE_LOOPS_ENV = "ANALYTICS_FORCE_LOOPS"
 
 #: Shared manager backing the auto-freeze dispatch; snapshots are cached per
 #: (graph identity, version) and reaped when the source graph is collected.
@@ -124,11 +112,11 @@ class KernelStats:
         passes: Iterations executed (label propagation).
         sources: Traversal sources processed (bulk kernels).
         batched_ops: Whole-array operations issued by the vectorized tier
-            (one per frontier gather / dedup / vote).  The loop tier never
-            increments it; ``traversal_edges / batched_ops`` is therefore the
-            deterministic interpreter-step reduction the vectorization
-            benchmark gates on — each loop-tier edge is an interpreted
-            iteration, each vectorized batch is one.
+            (one per frontier gather / dedup / vote).
+            ``traversal_edges / batched_ops`` is the deterministic
+            interpreter-step reduction the vectorization benchmark gates on
+            — an edge-at-a-time traversal pays one interpreted iteration per
+            edge, the vectorized tier one per batch.
     """
 
     traversal_edges: int = 0
@@ -144,81 +132,9 @@ def forced_reference() -> bool:
     return os.environ.get(FORCE_REFERENCE_ENV, "") == "1"
 
 
-def forced_loops() -> bool:
-    """Whether the environment pins the pure-python loop kernels."""
-    return os.environ.get(FORCE_LOOPS_ENV, "") == "1"
-
-
-def numpy_available() -> bool:
-    """Whether the vectorized tier can exist at all in this process."""
-    return _np is not None
-
-
-#: Weakly held circuit breaker guarding the vectorized tier (None = none).
-_breaker_ref: weakref.ref | None = None
-
-
-def install_breaker(breaker) -> None:
-    """Guard the vectorized tier with a circuit breaker (weakly referenced).
-
-    With a breaker installed (typically a
-    :class:`~repro.service.client.CircuitBreaker`), an exception inside a
-    vectorized branch is recorded as a failure and the call falls back to
-    the loop tier instead of propagating; once the rolling failure window
-    trips the breaker open, :func:`vectorized_enabled` answers False and
-    dispatch degrades to the always-correct tiers until the breaker's
-    half-open probe succeeds.  Pass ``None`` to uninstall.
-    """
-    global _breaker_ref
-    _breaker_ref = weakref.ref(breaker) if breaker is not None else None
-
-
-def installed_breaker():
-    """The live installed breaker, or None."""
-    ref = _breaker_ref
-    return ref() if ref is not None else None
-
-
-def _vectorized_succeeded() -> None:
-    """Close a recovering breaker after a successful vectorized call."""
-    breaker = installed_breaker()
-    if breaker is not None and breaker.state != "closed":
-        breaker.record_success()
-
-
-def _vectorized_failed() -> bool:
-    """Record a vectorized-tier failure; True when dispatch should degrade
-    to the loop tier (a breaker is installed) instead of raising."""
-    breaker = installed_breaker()
-    if breaker is None:
-        return False
-    breaker.record_failure()
-    return True
-
-
-def vectorized_enabled(store: CSRGraphStore | None = None) -> bool:
-    """Whether vectorized kernels may run (optionally: on ``store``).
-
-    False when numpy is absent, when either escape hatch
-    (:data:`FORCE_LOOPS_ENV`, :data:`FORCE_REFERENCE_ENV`) is set, when an
-    installed circuit breaker is open (see :func:`install_breaker`), or
-    when the given store fell back to stdlib ``array`` backing.
-    """
-    if _np is None or forced_loops() or forced_reference():
-        return False
-    breaker = installed_breaker()
-    if breaker is not None and breaker.state == "open":
-        return False
-    return store is None or store.uses_ndarrays
-
-
-def kernel_tier(store: CSRGraphStore) -> str:
-    """``"vectorized"`` or ``"loops"`` — the tier a kernel call will use."""
-    return "vectorized" if vectorized_enabled(store) else "loops"
-
-
 #: Cumulative tier decisions made by this process, by path name.  The
 #: service mirrors these into ``kaskade_kernel_dispatch_total{path=...}``.
+#: ``"loops"`` is never incremented: perf/workloads.py still indexes the key.
 dispatch_counts: dict[str, int] = {"vectorized": 0, "loops": 0, "reference": 0}
 
 _dispatch_lock = threading.Lock()
@@ -238,7 +154,7 @@ def subscribe_dispatch(counter) -> None:
 
 def note_dispatch(path: str) -> None:
     """Record a tier decision made outside this module (e.g. the physical
-    executor attributing a query to vectorized / loops / reference)."""
+    executor attributing a query to vectorized / reference)."""
     _note_dispatch(path)
 
 
@@ -342,19 +258,14 @@ def resolve_store_for_paths(graph: GraphLike, k: int) -> CSRGraphStore | None:
 
 def engine_for(graph: GraphLike) -> str:
     """``"kernel"`` when :func:`resolve_store` would route to CSR kernels,
-    ``"parallel"`` when a healthy shard partition is registered for the store,
     else ``"reference"`` — what the workload runner reports per query.
 
-    Pure prediction: unlike :func:`resolve_store` this never freezes (and
-    never partitions), so probing the engine does not move the build cost out
-    of whatever the caller is timing.
+    Pure prediction: unlike :func:`resolve_store` this never freezes, so
+    probing the engine does not move the build cost out of whatever the
+    caller is timing.
     """
     base, ready = _dispatch_base(graph)
     if ready is not None:
-        from repro.analytics import parallel as _parallel
-
-        if _parallel.peek_parallel(ready) is not None:
-            return "parallel"
         return "kernel"
     if base is None:
         return "reference"
@@ -433,11 +344,10 @@ def _out_edge_pairs(store: CSRGraphStore) -> list[list[tuple[int, object]]]:
     pairs = cache.get("out_edge_pairs")
     if pairs is None:
         offsets, targets = store.csr_arrays("out")
-        if _np is not None and isinstance(targets, _np.ndarray):
-            # Loop consumers index python structures with these values;
-            # numpy scalars would slow every lookup and comparison down.
-            offsets = offsets.tolist()
-            targets = targets.tolist()
+        # The weighted BFS indexes python structures with these values;
+        # numpy scalars would slow every lookup and comparison down.
+        offsets = offsets.tolist()
+        targets = targets.tolist()
         edges = store.aligned_edges("out") or []
         pairs = [list(zip(targets[offsets[i]:offsets[i + 1]],
                           edges[offsets[i]:offsets[i + 1]]))
@@ -446,35 +356,14 @@ def _out_edge_pairs(store: CSRGraphStore) -> list[list[tuple[int, object]]]:
     return pairs
 
 
-def _adjacency_blocks(store: CSRGraphStore, direction: str,
-                      edge_labels=None) -> list[list[list[int]]]:
-    """The pre-sliced interned adjacency lists a traversal must expand.
+def _np_blocks(store: CSRGraphStore, direction: str,
+               edge_labels=None) -> list[tuple]:
+    """The CSR ``(offsets, targets)`` pairs a traversal must expand.
 
     One block per (direction, label) combination; absent labels contribute
     nothing.  Directions: ``out``, ``in``, or ``both`` (out + in blocks —
     BFS visited marking dedups the union exactly like the reference's
     seen-set).
-    """
-    if direction not in ("out", "in", "both"):
-        raise ValueError(f"direction must be 'out', 'in' or 'both', got {direction!r}")
-    directions = ("out", "in") if direction == "both" else (direction,)
-    labels = list(edge_labels) if edge_labels is not None else [None]
-    blocks = []
-    for one_direction in directions:
-        for label in labels:
-            lists = store.int_adjacency(one_direction, label)
-            if lists is not None:
-                blocks.append(lists)
-    return blocks
-
-
-def _np_blocks(store: CSRGraphStore, direction: str,
-               edge_labels=None) -> list[tuple]:
-    """ndarray twin of :func:`_adjacency_blocks`: ``(offsets, targets)`` pairs.
-
-    Same direction/label semantics — absent labels contribute nothing — but
-    each block is the contiguous CSR pair the whole-array kernels gather
-    from, with no per-vertex python lists materialized.
     """
     if direction not in ("out", "in", "both"):
         raise ValueError(f"direction must be 'out', 'in' or 'both', got {direction!r}")
@@ -499,62 +388,19 @@ BULK_SOURCE_CHUNK = 1 << 16
 
 
 # ------------------------------------------------------------- frontier BFS
-def _bfs_levels(blocks: list[list[list[int]]], source_index: int,
-                max_hops: int, visited, stamp,
-                stats: KernelStats | None = None) -> list[list[int]]:
-    """Index-space frontier BFS; ``levels[h]`` = vertices first reached at hop ``h``.
-
-    ``visited`` is a flat per-vertex array; a cell equal to ``stamp`` means
-    "seen in this traversal", which lets bulk callers reuse one buffer across
-    sources by bumping the stamp instead of clearing V cells per source.
-    """
-    visited[source_index] = stamp
-    levels = [[source_index]]
-    frontier = levels[0]
-    edges = 0
-    single = blocks[0] if len(blocks) == 1 else None
-    for _ in range(max_hops):
-        next_frontier: list[int] = []
-        append = next_frontier.append
-        if single is not None:
-            for vertex in frontier:
-                neighbors = single[vertex]
-                edges += len(neighbors)
-                for target in neighbors:
-                    if visited[target] != stamp:
-                        visited[target] = stamp
-                        append(target)
-        else:
-            for vertex in frontier:
-                for lists in blocks:
-                    neighbors = lists[vertex]
-                    edges += len(neighbors)
-                    for target in neighbors:
-                        if visited[target] != stamp:
-                            visited[target] = stamp
-                            append(target)
-        if not next_frontier:
-            break
-        levels.append(next_frontier)
-        frontier = next_frontier
-    if stats is not None:
-        stats.traversal_edges += edges
-        stats.sources += 1
-    return levels
-
-
 def _bfs_levels_np(blocks: list[tuple], source_index: int, max_hops: int,
                    num_vertices: int, stats: KernelStats | None = None
                    ) -> list:
-    """Vectorized twin of :func:`_bfs_levels` over ndarray CSR blocks.
+    """Frontier BFS over ndarray CSR blocks; ``levels[h]`` = vertices first
+    reached at hop ``h``.
 
     Each hop expands the whole frontier with one gather per block, masks
     already-visited candidates, and deduplicates in *first-discovery order*
     (``np.unique`` + argsort of first occurrence) — so for single-block
     traversals the produced levels are element-for-element identical to the
-    loop tier's, which keeps order-sensitive consumers (blast-radius float
-    accumulation) bit-compatible.  ``traversal_edges`` counts every gathered
-    adjacency entry, exactly like the loop tier counts ``len(neighbors)``.
+    reference's queue order, which keeps order-sensitive consumers
+    (blast-radius float accumulation) bit-compatible.  ``traversal_edges``
+    counts every gathered adjacency entry.
     """
     visited = _np.zeros(num_vertices, dtype=bool)
     visited[source_index] = True
@@ -603,29 +449,13 @@ def k_hop_neighborhood(store: CSRGraphStore, source: VertexId, max_hops: int,
     source_index = store.index_of(source)
     ids = _ids_of(store)
     distances: dict[VertexId, int] = {source: 0} if include_source else {}
-    if vectorized_enabled(store):
-        try:
-            _note_dispatch("vectorized")
-            blocks_np = _np_blocks(store, direction, edge_labels)
-            if blocks_np:
-                levels = _bfs_levels_np(blocks_np, source_index, max_hops,
-                                        store.num_vertices, stats)
-                for hop in range(1, len(levels)):
-                    for index in levels[hop].tolist():
-                        distances[ids[index]] = hop
-            _vectorized_succeeded()
-            return distances
-        except Exception:  # noqa: BLE001 - breaker decides degrade vs raise
-            if not _vectorized_failed():
-                raise
-            distances = {source: 0} if include_source else {}
-    _note_dispatch("loops")
-    blocks = _adjacency_blocks(store, direction, edge_labels)
+    _note_dispatch("vectorized")
+    blocks = _np_blocks(store, direction, edge_labels)
     if blocks:
-        visited = bytearray(store.num_vertices)
-        levels = _bfs_levels(blocks, source_index, max_hops, visited, 1, stats)
+        levels = _bfs_levels_np(blocks, source_index, max_hops,
+                                store.num_vertices, stats)
         for hop in range(1, len(levels)):
-            for index in levels[hop]:
+            for index in levels[hop].tolist():
                 distances[ids[index]] = hop
     return distances
 
@@ -640,39 +470,18 @@ def k_hop_reachable(store: CSRGraphStore, source: VertexId, max_hops: int,
         return set()
     source_index = store.index_of(source)
     ids = _ids_of(store)
-    if vectorized_enabled(store):
-        try:
-            _note_dispatch("vectorized")
-            blocks_np = _np_blocks(store, direction)
-            if not blocks_np:
-                _vectorized_succeeded()
-                return set()
-            levels = _bfs_levels_np(blocks_np, source_index, max_hops,
-                                    store.num_vertices, stats)
-            reached_np: set[VertexId] = set()
-            if len(levels) > 1:
-                rest = _np.concatenate(levels[1:])
-                if vertex_type is not None:
-                    rest = rest[store.type_index_mask(vertex_type)[rest]]
-                reached_np = {ids[index] for index in rest.tolist()}
-            _vectorized_succeeded()
-            return reached_np
-        except Exception:  # noqa: BLE001 - breaker decides degrade vs raise
-            if not _vectorized_failed():
-                raise
-    _note_dispatch("loops")
-    blocks = _adjacency_blocks(store, direction)
+    _note_dispatch("vectorized")
+    blocks = _np_blocks(store, direction)
     if not blocks:
         return set()
-    visited = bytearray(store.num_vertices)
-    levels = _bfs_levels(blocks, source_index, max_hops, visited, 1, stats)
-    mask = _type_mask(store, vertex_type) if vertex_type is not None else None
-    reached: set[VertexId] = set()
-    for hop in range(1, len(levels)):
-        for index in levels[hop]:
-            if mask is None or mask[index]:
-                reached.add(ids[index])
-    return reached
+    levels = _bfs_levels_np(blocks, source_index, max_hops,
+                            store.num_vertices, stats)
+    if len(levels) == 1:
+        return set()
+    rest = _np.concatenate(levels[1:])
+    if vertex_type is not None:
+        rest = rest[store.type_index_mask(vertex_type)[rest]]
+    return {ids[index] for index in rest.tolist()}
 
 
 def bulk_k_hop_counts(store: CSRGraphStore, max_hops: int,
@@ -683,8 +492,8 @@ def bulk_k_hop_counts(store: CSRGraphStore, max_hops: int,
     """Q2/Q3 over every anchor in one sweep: ``{anchor: |k-hop neighborhood|}``.
 
     Instead of V independent traversals each allocating its own visited set
-    and external-id dict, one epoch-stamped scratch buffer is shared across
-    all sources and only counts leave integer space.
+    and external-id dict, all sources advance together
+    (:func:`_bulk_k_hop_counts_np`) and only counts leave integer space.
     """
     if max_hops < 1:
         # Mirror the reference: zero hops never touches adjacency, so even
@@ -701,76 +510,15 @@ def bulk_k_hop_counts(store: CSRGraphStore, max_hops: int,
                           if anchor_type is not None
                           else list(range(store.num_vertices)))
     ids = _ids_of(store)
-    if vectorized_enabled(store):
-        try:
-            _note_dispatch("vectorized")
-            blocks_np = _np_blocks(store, direction, edge_labels)
-            if not blocks_np:
-                _vectorized_succeeded()
-                return {ids[index]: 0 for index in anchor_indices}
-            mask_array = (store.type_index_mask(vertex_type)
-                          if vertex_type is not None else None)
-            reached = _bulk_k_hop_counts_np(blocks_np, anchor_indices, max_hops,
-                                            store.num_vertices, mask_array, stats)
-            _vectorized_succeeded()
-            return dict(zip(map(ids.__getitem__, anchor_indices),
-                            reached.tolist()))
-        except Exception:  # noqa: BLE001 - breaker decides degrade vs raise
-            if not _vectorized_failed():
-                raise
-    _note_dispatch("loops")
-    blocks = _adjacency_blocks(store, direction, edge_labels)
+    _note_dispatch("vectorized")
+    blocks = _np_blocks(store, direction, edge_labels)
     if not blocks:
         return {ids[index]: 0 for index in anchor_indices}
-    counts: dict[VertexId, int] = {}
-    mask = _type_mask(store, vertex_type) if vertex_type is not None else None
-    visited = [0] * store.num_vertices
-    single = blocks[0] if len(blocks) == 1 else None
-    edges = 0
-    # Allocation-free twin of _bfs_levels: the bulk sweep only needs counts,
-    # so the per-hop level lists are never materialized — measurably faster
-    # across thousands of sources (this is the benchmark's headline loop).
-    for stamp, source_index in enumerate(anchor_indices, start=1):
-        # The source is stamped before the sweep and never counts itself,
-        # even when a cycle closes back onto it — matching the reference's
-        # pre-seeded distance entry.
-        visited[source_index] = stamp
-        frontier = [source_index]
-        reached = 0
-        for _ in range(max_hops):
-            next_frontier: list[int] = []
-            append = next_frontier.append
-            if single is not None:
-                for vertex in frontier:
-                    neighbors = single[vertex]
-                    edges += len(neighbors)
-                    for target in neighbors:
-                        if visited[target] != stamp:
-                            visited[target] = stamp
-                            append(target)
-            else:
-                for vertex in frontier:
-                    for lists in blocks:
-                        neighbors = lists[vertex]
-                        edges += len(neighbors)
-                        for target in neighbors:
-                            if visited[target] != stamp:
-                                visited[target] = stamp
-                                append(target)
-            if not next_frontier:
-                break
-            if mask is None:
-                reached += len(next_frontier)
-            else:
-                for index in next_frontier:
-                    if mask[index]:
-                        reached += 1
-            frontier = next_frontier
-        counts[ids[source_index]] = reached
-    if stats is not None:
-        stats.traversal_edges += edges
-        stats.sources += len(anchor_indices)
-    return counts
+    mask_array = (store.type_index_mask(vertex_type)
+                  if vertex_type is not None else None)
+    reached = _bulk_k_hop_counts_np(blocks, anchor_indices, max_hops,
+                                    store.num_vertices, mask_array, stats)
+    return dict(zip(map(ids.__getitem__, anchor_indices), reached.tolist()))
 
 
 def _bulk_k_hop_counts_np(blocks: list[tuple], anchor_indices, max_hops: int,
@@ -827,6 +575,9 @@ def _bulk_k_hop_counts_np(blocks: list[tuple], anchor_indices, max_hops: int,
         # Slots are pre-shifted so np.repeat expands straight into packed
         # key space — one pass instead of repeat-then-shift-then-or.
         slot_base = frontier_slot << (shift + 1)
+        # The source is marked visited before the sweep and never counts
+        # itself, even when a cycle closes back onto it — matching the
+        # reference's pre-seeded distance entry.
         visited_keys = _np.sort(slot_base | (frontier_vertex << 1) | 1)
         for _ in range(max_hops):
             cand_parts = []
@@ -903,45 +654,19 @@ def blast_radius_rows(store: CSRGraphStore, max_hops: int = 10,
     refs = list(store.vertices())
     rank = _str_rank(store)
     rows: list[tuple[VertexId, tuple[VertexId, ...], float, float]] = []
-    if vectorized_enabled(store):
-        try:
-            # The out-direction traversal is single-block, so _bfs_levels_np's
-            # first-discovery ordering makes each level (and therefore the
-            # float accumulation order below) identical to the loop tier's.
-            _note_dispatch("vectorized")
-            blocks_np = _np_blocks(store, "out")
-            for source_index in anchor_indices:
-                downstream: list[int] = []
-                total = 0.0
-                if blocks_np:
-                    levels = _bfs_levels_np(blocks_np, source_index, max_hops,
-                                            store.num_vertices, stats)
-                    for hop in range(1, len(levels)):
-                        for index in levels[hop].tolist():
-                            if mask[index]:
-                                downstream.append(index)
-                                total += float(refs[index].get(cpu_property, 0.0))
-                downstream.sort(key=rank.__getitem__)
-                average = total / len(downstream) if downstream else 0.0
-                rows.append((ids[source_index],
-                             tuple(ids[index] for index in downstream),
-                             total, average))
-            _vectorized_succeeded()
-            return rows
-        except Exception:  # noqa: BLE001 - breaker decides degrade vs raise
-            if not _vectorized_failed():
-                raise
-            rows = []
-    _note_dispatch("loops")
-    blocks = _adjacency_blocks(store, "out")
-    visited = [0] * store.num_vertices
-    for stamp, source_index in enumerate(anchor_indices, start=1):
+    # The out-direction traversal is single-block, so _bfs_levels_np's
+    # first-discovery ordering makes each level (and therefore the float
+    # accumulation order below) identical to the reference's.
+    _note_dispatch("vectorized")
+    blocks = _np_blocks(store, "out")
+    for source_index in anchor_indices:
         downstream: list[int] = []
         total = 0.0
-        if max_hops >= 1 and blocks:
-            levels = _bfs_levels(blocks, source_index, max_hops, visited, stamp, stats)
+        if blocks:
+            levels = _bfs_levels_np(blocks, source_index, max_hops,
+                                    store.num_vertices, stats)
             for hop in range(1, len(levels)):
-                for index in levels[hop]:
+                for index in levels[hop].tolist():
                     if mask[index]:
                         downstream.append(index)
                         total += float(refs[index].get(cpu_property, 0.0))
@@ -958,28 +683,16 @@ def label_propagation(store: CSRGraphStore, passes: int = 25,
                       stats: KernelStats | None = None) -> dict[VertexId, VertexId]:
     """Kernel twin of :func:`repro.analytics.community.label_propagation`.
 
-    Labels live as interned int arrays; each synchronous pass reads neighbor
-    labels through the cached undirected adjacency slices and tracks the
-    running (count, string-rank) winner per vertex — no ``Counter``, no
-    per-pass sorting, no string comparisons.  Ties break exactly like the
-    reference: most frequent label, then smallest ``str(label)``.
+    Labels live as interned int arrays; each synchronous pass is one
+    segmented majority vote over the cached undirected CSR
+    (:func:`_label_propagation_np`) — no ``Counter``, no per-vertex sorting,
+    no string comparisons.  Ties break exactly like the reference: most
+    frequent label, then smallest ``str(label)``.
     """
     if passes < 0:
         raise ValueError(f"passes must be >= 0, got {passes}")
-    n = store.num_vertices
-    if vectorized_enabled(store):
-        try:
-            _note_dispatch("vectorized")
-            labels = _label_propagation_np(store, passes, stats)
-            _vectorized_succeeded()
-        except Exception:  # noqa: BLE001 - breaker decides degrade vs raise
-            if not _vectorized_failed():
-                raise
-            _note_dispatch("loops")
-            labels = _label_propagation_loops(store, passes, stats)
-    else:
-        _note_dispatch("loops")
-        labels = _label_propagation_loops(store, passes, stats)
+    _note_dispatch("vectorized")
+    labels = _label_propagation_np(store, passes, stats)
     ids = _ids_of(store)
     result = dict(zip(ids, map(ids.__getitem__, labels)))
     if write_property is not None:
@@ -988,58 +701,6 @@ def label_propagation(store: CSRGraphStore, passes: int = 25,
         for vertex, ref in enumerate(store.vertices()):
             ref.properties[write_property] = ids[labels[vertex]]
     return result
-
-
-def _label_propagation_loops(store: CSRGraphStore, passes: int,
-                             stats: KernelStats | None) -> list[int]:
-    """Pure-python pass loop of :func:`label_propagation`; returns the final
-    per-vertex label array (labels are interned vertex indices)."""
-    n = store.num_vertices
-    first_build = not store.undirected_adjacency_built
-    adjacency = store.undirected_int_adjacency()
-    if stats is not None and first_build:
-        # Context build: the one pull of the out+in adjacency from the store
-        # (later calls on this store read the cached slices for free).
-        stats.store_reads += 2 * store.num_edges
-    rank = _str_rank(store)
-    labels = list(range(n))
-    counts = [0] * n  # scratch, indexed by label (a label *is* a vertex index)
-    for _ in range(passes):
-        if stats is not None:
-            stats.passes += 1
-        changed = 0
-        new_labels = [0] * n
-        for vertex in range(n):
-            neighbors = adjacency[vertex]
-            if not neighbors:
-                new_labels[vertex] = labels[vertex]
-                continue
-            best_label = -1
-            best_count = 0
-            best_rank = n
-            touched: list[int] = []
-            for neighbor in neighbors:
-                label = labels[neighbor]
-                count = counts[label] + 1
-                counts[label] = count
-                if count == 1:
-                    touched.append(label)
-                if count > best_count or (count == best_count
-                                          and rank[label] < best_rank):
-                    best_count = count
-                    best_label = label
-                    best_rank = rank[label]
-            for label in touched:
-                counts[label] = 0
-            if stats is not None:
-                stats.traversal_edges += len(neighbors)
-            new_labels[vertex] = best_label
-            if best_label != labels[vertex]:
-                changed += 1
-        labels = new_labels
-        if changed == 0:
-            break
-    return labels
 
 
 def _label_propagation_np(store: CSRGraphStore, passes: int,
@@ -1060,8 +721,8 @@ def _label_propagation_np(store: CSRGraphStore, passes: int,
     first_build = not store.undirected_adjacency_built
     offsets, targets = store.undirected_csr_arrays()
     if stats is not None and first_build:
-        # Context build parity with the loop tier: one pull of the out+in
-        # adjacency from the store.
+        # Context build: the one pull of the out+in adjacency from the store
+        # (later calls on this store read the cached arrays for free).
         stats.store_reads += 2 * store.num_edges
     degrees = _np.diff(offsets.astype(_np.int64))
     total_neighbors = int(degrees.sum())
@@ -1081,8 +742,8 @@ def _label_propagation_np(store: CSRGraphStore, passes: int,
             stats.passes += 1
             stats.traversal_edges += total_neighbors
         if total_neighbors == 0:
-            # No adjacency anywhere: nothing can change; the loop tier also
-            # counts exactly one pass before its changed == 0 break.
+            # No adjacency anywhere: nothing can change; like the reference,
+            # exactly one pass runs before the changed == 0 break.
             break
         # rank[labels] is one n-sized pass; composing it first turns the
         # per-edge work into a single gather instead of two.
@@ -1133,9 +794,9 @@ def path_length_rows(store: CSRGraphStore, source: VertexId, max_hops: int = 4,
         # unknown source id comes back with an empty result.
         return []
     source_index = store.index_of(source)
-    # Weighted-path BFS stays on the loop tier: per-edge property reads
-    # dominate, so a whole-array expansion would not pay for itself.
-    _note_dispatch("loops")
+    # Counted on the kernel tier although it iterates in python: per-edge
+    # property reads dominate, so a whole-array expansion would not pay.
+    _note_dispatch("vectorized")
     pairs = _out_edge_pairs(store)
     use_sum = aggregate == "sum"
     best: dict[int, tuple[int, float]] = {}
@@ -1188,9 +849,9 @@ def k_hop_paths(store: CSRGraphStore, k: int,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    # Path enumeration stays on the loop tier: the simple-path DFS carries
-    # per-path state that has no whole-array formulation.
-    _note_dispatch("loops")
+    # Counted on the kernel tier although it iterates in python: the
+    # simple-path DFS carries per-path state with no whole-array formulation.
+    _note_dispatch("vectorized")
     adjacency = store.int_adjacency("out", edge_label)
     if adjacency is None:
         return []

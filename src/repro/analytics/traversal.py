@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.analytics import kernels, parallel
+from repro.analytics import kernels
 from repro.graph.property_graph import VertexId
 from repro.storage.base import GraphLike
 
@@ -43,13 +43,6 @@ def k_hop_neighborhood(graph: GraphLike, source: VertexId, max_hops: int,
         raise ValueError(f"max_hops must be >= 0, got {max_hops}")
     store = kernels.resolve_store(graph)
     if store is not None:
-        result = parallel.try_parallel(store, "k_hop_neighborhood",
-                                       source=source, max_hops=max_hops,
-                                       direction=direction,
-                                       edge_labels=edge_labels,
-                                       include_source=include_source)
-        if result is not parallel.MISS:
-            return result
         return kernels.k_hop_neighborhood(store, source, max_hops,
                                           direction=direction,
                                           edge_labels=edge_labels,
@@ -116,8 +109,8 @@ def bulk_k_hop_counts(graph: GraphLike, max_hops: int, direction: str = "out",
 
     The all-vertices variants of Q2/Q3 ("how many ancestors/descendants does
     each job have?").  On a CSR store this runs as one bulk kernel sweep
-    sharing a single epoch-stamped visited buffer across sources; on the dict
-    reference path it degrades to one traversal per anchor.
+    advancing all sources together; on the dict reference path it degrades
+    to one traversal per anchor.
 
     Args:
         graph: Input graph.
@@ -134,14 +127,6 @@ def bulk_k_hop_counts(graph: GraphLike, max_hops: int, direction: str = "out",
         raise ValueError(f"max_hops must be >= 0, got {max_hops}")
     store = kernels.resolve_store(graph)
     if store is not None:
-        result = parallel.try_parallel(store, "bulk_k_hop_counts",
-                                       max_hops=max_hops, direction=direction,
-                                       anchors=anchors,
-                                       anchor_type=anchor_type,
-                                       vertex_type=vertex_type,
-                                       edge_labels=edge_labels)
-        if result is not parallel.MISS:
-            return result
         return kernels.bulk_k_hop_counts(store, max_hops, direction=direction,
                                          anchors=anchors,
                                          anchor_type=anchor_type,

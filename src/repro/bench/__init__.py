@@ -14,21 +14,11 @@ from repro.bench.figures import (
     table4_workload,
 )
 from repro.bench.reporting import format_series, format_table, human_count
-from repro.bench.trajectory import (
-    TRAJECTORY_FILENAME,
-    collect_records,
-    fold_trajectory,
-    latest_values,
-)
 
 __all__ = [
     "BLAST_RADIUS_CYPHER",
     "EstimationPoint",
-    "TRAJECTORY_FILENAME",
-    "collect_records",
     "enumeration_pruning",
-    "fold_trajectory",
-    "latest_values",
     "figure5_estimation",
     "figure6_size_reduction",
     "figure7_runtimes",

@@ -500,8 +500,8 @@ class Kaskade:
 
     # ---------------------------------------------------------------- execution
     def execute(self, query: GraphQuery, use_views: bool = True,
-                max_work: int | None = None, engine: str = "planner",
-                *, max_bindings: int | None = None) -> QueryOutcome:
+                max_work: int | None = None, engine: str = "planner"
+                ) -> QueryOutcome:
         """Execute a query, choosing base vs. best view by planned cost.
 
         The decision mirrors §V-C at execution time: the base query is
@@ -518,14 +518,11 @@ class Kaskade:
                 latter runs the seed backtracking engine (the same
                 base-vs-view choice still applies) and is what differential
                 tests compare against.
-            max_bindings: Deprecated alias for ``max_work``.
         """
         start = time.perf_counter()
         if engine not in ENGINES:
             raise QueryExecutionError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if max_work is None:
-            max_work = max_bindings
         if use_views and self.auto_refresh and len(self.catalog):
             self.refresh_views()
         base = self.storage.store_for(self.graph)

@@ -91,35 +91,6 @@ class ServiceError(KaskadeError):
     """Base class for errors in the concurrent serving layer (:mod:`repro.service`)."""
 
 
-class ParallelExecutionError(KaskadeError):
-    """Base class for errors in the shard-parallel execution tier
-    (:mod:`repro.analytics.parallel`)."""
-
-
-class ParallelUnavailableError(ParallelExecutionError):
-    """Raised when a shard worker pool cannot serve a request (a worker died,
-    startup timed out, or the pool is closed).
-
-    Dispatch treats this as a *degrade* signal: the partitioned tier is
-    retired for the store and the call falls back to the single-CSR kernels —
-    it never reaches callers of the public analytics functions.
-    """
-
-
-class WorkerError(ParallelExecutionError):
-    """Raised when a shard worker reports an exception while executing a
-    kernel request.  Unlike :class:`ParallelUnavailableError` this is *not*
-    swallowed by fallback dispatch: the workers run the same validated inputs
-    as the single-CSR tier, so a worker-side failure is a bug that must
-    surface, not a capacity condition to degrade around.
-    """
-
-    def __init__(self, shard_index: int, detail: str) -> None:
-        super().__init__(f"shard worker {shard_index} failed: {detail}")
-        self.shard_index = shard_index
-        self.detail = detail
-
-
 class StaleSnapshotError(ServiceError):
     """Raised when a consumer's version fell behind what the system retains.
 

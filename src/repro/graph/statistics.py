@@ -19,10 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships in CI; loop fallback
-    _np = None
+import numpy as _np
 
 from repro.graph.property_graph import PropertyGraph
 
@@ -150,35 +147,29 @@ def compute_statistics(
     return stats
 
 
-def _ndarray_snapshot(graph):
-    """An ndarray-backed CSR view of ``graph`` that is free to use, or ``None``.
+def _csr_snapshot(graph):
+    """A CSR view of ``graph`` that is free to use, or ``None``.
 
-    Either ``graph`` already is an ndarray-backed
-    :class:`~repro.storage.csr.CSRGraphStore`, or some
-    :class:`~repro.storage.manager.StorageManager` has published a fresh
-    snapshot for it.  Statistics never *build* a snapshot: a one-off degree
-    scan is cheaper than a freeze, so the whole-array path only runs when
-    the build cost is already paid.
+    Either ``graph`` already is a :class:`~repro.storage.csr.CSRGraphStore`,
+    or some :class:`~repro.storage.manager.StorageManager` has published a
+    fresh snapshot for it.  Statistics never *build* a snapshot: a one-off
+    degree scan is cheaper than a freeze, so the whole-array path only runs
+    when the build cost is already paid.
     """
-    if _np is None:
-        return None
     from repro.storage.csr import CSRGraphStore  # deferred: keeps this
     from repro.storage.manager import lookup_snapshot  # module base-layer
     if isinstance(graph, CSRGraphStore):
-        return graph if graph.uses_ndarrays else None
+        return graph
     if not isinstance(graph, PropertyGraph):
         return None
-    snapshot = lookup_snapshot(graph)
-    if snapshot is not None and snapshot.uses_ndarrays:
-        return snapshot
-    return None
+    return lookup_snapshot(graph)
 
 
 def _summary_from_degrees(vertex_type: str, degrees,
                           wanted: tuple[float, ...]) -> TypeDegreeSummary:
     """Whole-array :class:`TypeDegreeSummary`: one sort covers every
     requested nearest-rank percentile.  Values are coerced back to python
-    scalars so the result is field-by-field equal to the loop path's."""
+    scalars so the result is field-by-field equal to the dict-scan path's."""
     ordered = _np.sort(degrees)
     count = len(ordered)
     summary_percentiles: dict[float, float] = {}
@@ -209,7 +200,7 @@ def _compute_statistics(graph: PropertyGraph, wanted: tuple[float, ...]
     for q in wanted:
         if not 0 <= q <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-    snapshot = _ndarray_snapshot(graph)
+    snapshot = _csr_snapshot(graph)
     if snapshot is not None:
         offsets, _ = snapshot.csr_ndarrays("out")
         degrees = _np.diff(offsets.astype(_np.int64))
@@ -243,7 +234,7 @@ def _compute_statistics(graph: PropertyGraph, wanted: tuple[float, ...]
 
 def out_degree_histogram(graph: PropertyGraph, vertex_type: str | None = None) -> dict[int, int]:
     """Histogram ``degree -> number of vertices with that out-degree``."""
-    snapshot = _ndarray_snapshot(graph)
+    snapshot = _csr_snapshot(graph)
     if snapshot is not None:
         offsets, _ = snapshot.csr_ndarrays("out")
         degrees = _np.diff(offsets.astype(_np.int64))

@@ -46,31 +46,24 @@ class QueryExecutor:
             (``vertices scanned + edges expanded``, i.e.
             :attr:`ExecutionStats.total_work`).  Exceeding it raises
             :class:`QueryExecutionError`, protecting benchmarks from runaway
-            cartesian products.  (Historically misnamed ``max_bindings``;
-            the old keyword is still accepted.)
+            cartesian products.
         engine: ``"planner"`` (default) for cost-based planning + batched
             operators, ``"interpreter"`` for the seed backtracking matcher.
         planner: Optional pre-built :class:`QueryPlanner` (e.g. one sharing
             cached statistics); a fresh one is built from ``graph`` when
             omitted.
-        max_bindings: Deprecated alias for ``max_work``.
     """
 
     def __init__(self, graph: GraphLike, max_work: int | None = None,
-                 engine: str = "planner", planner: QueryPlanner | None = None,
-                 *, max_bindings: int | None = None) -> None:
+                 engine: str = "planner", planner: QueryPlanner | None = None
+                 ) -> None:
         if engine not in ENGINES:
             raise QueryExecutionError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.graph = graph
-        self.max_work = max_work if max_work is not None else max_bindings
+        self.max_work = max_work
         self.engine = engine
         self._planner = planner
-
-    @property
-    def max_bindings(self) -> int | None:
-        """Deprecated alias for :attr:`max_work` (it always was a work budget)."""
-        return self.max_work
 
     # ------------------------------------------------------------------ public
     def plan(self, query: GraphQuery) -> LogicalPlan:
@@ -111,8 +104,7 @@ def _distinct_rows(rows):
 
 
 def execute_query(graph: GraphLike, query: GraphQuery,
-                  max_work: int | None = None, engine: str = "planner",
-                  *, max_bindings: int | None = None) -> ExecutionResult:
+                  max_work: int | None = None, engine: str = "planner"
+                  ) -> ExecutionResult:
     """Convenience wrapper: evaluate ``query`` against ``graph``."""
-    return QueryExecutor(graph, max_work=max_work, engine=engine,
-                         max_bindings=max_bindings).execute(query)
+    return QueryExecutor(graph, max_work=max_work, engine=engine).execute(query)

@@ -25,10 +25,7 @@ from __future__ import annotations
 
 from typing import Any
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships in CI; loops fallback
-    _np = None
+import numpy as _np
 
 from repro.analytics import kernels
 from repro.errors import QueryExecutionError
@@ -64,11 +61,7 @@ class PhysicalExecutor:
     # ------------------------------------------------------------------ public
     def execute(self, plan: LogicalPlan) -> ExecutionResult:
         """Evaluate a plan and return projected rows plus work counters."""
-        graph = self.graph
-        if isinstance(graph, CSRGraphStore):
-            kernels.note_dispatch(kernels.kernel_tier(graph))
-        else:
-            kernels.note_dispatch("reference")
+        kernels.note_dispatch("vectorized" if self._gathers() else "reference")
         stats = ExecutionStats()
         bindings = self.run_bindings(plan, stats)
         stats.bindings_produced = len(bindings)
@@ -143,17 +136,22 @@ class PhysicalExecutor:
             out.extend(self._emit(binding, op.target, targets))
         return out
 
+    def _gathers(self) -> bool:
+        """Whether expansions run as whole-batch CSR gathers."""
+        return (isinstance(self.graph, CSRGraphStore)
+                and not kernels.forced_reference())
+
     def _prefetch_targets(self, op: ExpandOp, batch: list[Binding],
                           stats: ExecutionStats
                           ) -> dict[VertexId, list[VertexId]] | None:
         """One whole-batch CSR gather serving every distinct source at once.
 
-        On an ndarray-backed :class:`CSRGraphStore` the per-source
-        ``successors`` list materialization is replaced by a single
+        On a :class:`CSRGraphStore` the per-source ``successors`` list
+        materialization is replaced by a single
         :meth:`~repro.storage.csr.CSRGraphStore.gather_neighbors` call for
         the batch's distinct sources; a label-only target predicate is then
         applied as one boolean mask over the flat result.  ``None`` when the
-        graph cannot gather (dict store, no numpy, or a forced tier) — the
+        graph cannot gather (dict store, or the forced reference path) — the
         caller falls back to per-source expansion.
 
         Work accounting is identical to the per-source path: unfiltered
@@ -161,10 +159,9 @@ class PhysicalExecutor:
         order, so a budget overrun raises at exactly the same
         ``edges_expanded`` value.
         """
-        graph = self.graph
-        if (_np is None or not isinstance(graph, CSRGraphStore)
-                or not kernels.vectorized_enabled(graph)):
+        if not self._gathers():
             return None
+        graph = self.graph
         sources: list[VertexId] = []
         seen: set[VertexId] = set()
         for binding in batch:

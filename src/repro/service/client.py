@@ -13,10 +13,7 @@ this module makes them *survivable for callers*:
   executor's work cap instead of a best-effort suggestion.
 * :class:`CircuitBreaker` — counts recent failures in a rolling window and
   refuses calls (:class:`~repro.errors.CircuitOpenError`) once a threshold
-  trips, letting one probe through per ``reset_seconds`` (half-open).  The
-  same class guards the analytics kernels' vectorized tier: installed via
-  :func:`repro.analytics.kernels.install_breaker`, repeated vectorized-path
-  failures degrade dispatch to the always-correct reference/loops tiers.
+  trips, letting one probe through per ``reset_seconds`` (half-open).
 
 The HTTP transport is ``http.client`` (stdlib, matching the server's
 dependency-free stance) and is pluggable for tests.

@@ -364,42 +364,17 @@ class ServiceMetrics:
             "Faults the chaos injector actually fired, by point and mode")
         self.kernel_dispatch = r.counter(
             "kaskade_kernel_dispatch_total",
-            "Kernel tier decisions (path=vectorized/loops/reference) made "
+            "Kernel tier decisions (path=vectorized/reference) made "
             "while this registry is subscribed")
-        # Pre-seed every tier so /metrics always exposes all three series,
+        # Pre-seed both tiers so /metrics always exposes both series,
         # then mirror the analytics dispatcher's decisions into the counter.
         # The subscription holds only a weak reference, so a discarded
         # ServiceMetrics (and its registry) is dropped automatically.
-        for path in ("vectorized", "loops", "reference"):
+        for path in ("vectorized", "reference"):
             self.kernel_dispatch.inc(0.0, path=path)
         from repro.analytics import kernels
 
         kernels.subscribe_dispatch(self.kernel_dispatch)
-        self.parallel_dispatch = r.counter(
-            "kaskade_parallel_dispatch_total",
-            "Shard-parallel tier decisions (path=parallel/single) for "
-            "partition-eligible kernel calls made while this registry is "
-            "subscribed")
-        # Same pattern one tier up: pre-seed both series, then mirror the
-        # parallel dispatcher's decisions through its weak subscription.
-        for path in ("parallel", "single"):
-            self.parallel_dispatch.inc(0.0, path=path)
-        from repro.analytics import parallel
-
-        parallel.subscribe_dispatch(self.parallel_dispatch)
-        r.gauge_callback(
-            "kaskade_shard_count",
-            "Shards across live registered graph partitions (0 when the "
-            "parallel tier is idle)",
-            lambda: float(sum(entry["shards"]
-                              for entry in parallel.describe_partitions())))
-        r.gauge_callback(
-            "kaskade_shard_edge_balance_ratio",
-            "Worst max-shard-edges / mean-shard-edges ratio across live "
-            "partitions (1.0 = perfectly balanced hash cut, 0 when none)",
-            lambda: float(max(
-                (entry["balance"] for entry in parallel.describe_partitions()),
-                default=0.0)))
 
     # ------------------------------------------------------------- observers
     def observe_query(self, outcome) -> None:

@@ -29,12 +29,6 @@ from repro.storage.base import (
     underlying_graph,
 )
 from repro.storage.csr import CSRGraphStore
-from repro.storage.partition import (
-    GraphPartition,
-    GraphPartitioner,
-    PartitionSpec,
-    attach_partition,
-)
 from repro.storage.manager import (
     StorageManager,
     StoragePolicy,
@@ -47,17 +41,13 @@ __all__ = [
     "BACKENDS",
     "CSRGraphStore",
     "GraphLike",
-    "GraphPartition",
-    "GraphPartitioner",
     "GraphStore",
-    "PartitionSpec",
     "PersistentViewStore",
     "PropertyGraphStore",
     "StorageManager",
     "StoragePolicy",
     "StorageStats",
     "WORKLOAD_HINTS",
-    "attach_partition",
     "ensure_store",
     "underlying_graph",
 ]

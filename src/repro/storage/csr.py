@@ -12,14 +12,11 @@ classic CSR layout — both combined and per edge label, giving:
 * direct access to the integer-space ``(offsets, targets)`` arrays for
   PageRank-style sweeps and other whole-graph kernels.
 
-When :mod:`numpy` is importable the ``(offsets, targets)`` pairs, the
-per-type index slices, and the derived undirected adjacency are contiguous
-``ndarray``\\ s (``int32``, widened to ``int64`` past :data:`_INT32_LIMIT`),
-which is what the vectorized analytics kernels
-(:mod:`repro.analytics.kernels`) and the physical executor's batched
-neighbor gather operate on directly.  Without numpy the layout transparently
-falls back to stdlib :class:`array.array` and every consumer stays on the
-pure-python loop kernels — same results, no hard dependency.
+The ``(offsets, targets)`` pairs, the per-type index slices, and the derived
+undirected adjacency are contiguous numpy ``ndarray``\\ s (``int32``, widened
+to ``int64`` past :data:`_INT32_LIMIT`), which is what the vectorized
+analytics kernels (:mod:`repro.analytics.kernels`) and the physical
+executor's batched neighbor gather operate on directly.
 
 The snapshot freezes the *topology*: adding or removing vertices/edges raises
 :class:`~repro.errors.GraphError`.  Vertex and edge **property dictionaries
@@ -33,21 +30,14 @@ do not affect the CSR store; staleness is detectable by comparing
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterator, Sequence
 
-try:  # pragma: no cover - exercised via both-tier differential tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships in CI; stdlib fallback
-    _np = None
+import numpy as _np
 
 from repro.errors import GraphError, VertexNotFoundError
 from repro.graph.property_graph import Edge, PropertyGraph, Vertex, VertexId
 from repro.graph.schema import GraphSchema
 from repro.storage.base import GraphStore
-
-#: Signed native-long typecode used for offset/target arrays (numpy-less fallback).
-_ARRAY_TYPECODE = "q"
 
 #: Largest value stored in an ``int32`` index array; arrays whose maximum
 #: entry would exceed it (vertex counts for ``targets``, edge counts for
@@ -62,10 +52,8 @@ def _index_dtype(max_value: int):
 
 
 def _index_array(values: list[int], max_value: int):
-    """Pack ``values`` into a contiguous index array (ndarray when available)."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_index_dtype(max_value))
-    return array(_ARRAY_TYPECODE, values)
+    """Pack ``values`` into a contiguous index ndarray."""
+    return _np.asarray(values, dtype=_index_dtype(max_value))
 
 
 def gather_slices(offsets, targets, indices):
@@ -104,9 +92,8 @@ def gather_slices(offsets, targets, indices):
 class _LabelCSR:
     """One CSR block: offsets plus aligned target-id / edge-reference arrays.
 
-    ``offsets``/``targets_int`` are numpy ndarrays when numpy is importable
-    (``int32``, widened to ``int64`` past :data:`_INT32_LIMIT`) and stdlib
-    ``array('q')`` otherwise.
+    ``offsets``/``targets_int`` are numpy ndarrays (``int32``, widened to
+    ``int64`` past :data:`_INT32_LIMIT`).
     """
 
     __slots__ = ("offsets", "targets_int", "targets_ext", "edge_refs",
@@ -134,9 +121,7 @@ class _LabelCSR:
         cache = self._neighbor_cache
         if cache is None:
             ext = self.targets_ext
-            offsets = (self.offsets.tolist()
-                       if _np is not None and isinstance(self.offsets, _np.ndarray)
-                       else self.offsets)
+            offsets = self.offsets.tolist()
             cache = [ext[offsets[i]:offsets[i + 1]] for i in range(len(offsets) - 1)]
             self._neighbor_cache = cache
         return cache
@@ -150,16 +135,12 @@ class _LabelCSR:
         """
         cache = self._int_neighbor_cache
         if cache is None:
-            offsets, targets = self.offsets, self.targets_int
-            if _np is not None and isinstance(targets, _np.ndarray):
-                # .tolist() yields plain python ints — numpy scalars would
-                # slow every bytearray/list index on the loop-kernel hot path.
-                bounds = offsets.tolist()
-                cache = [targets[bounds[i]:bounds[i + 1]].tolist()
-                         for i in range(len(bounds) - 1)]
-            else:
-                cache = [list(targets[offsets[i]:offsets[i + 1]])
-                         for i in range(len(offsets) - 1)]
+            # .tolist() yields plain python ints — numpy scalars would slow
+            # every bytearray/list index in the index-space consumers.
+            bounds = self.offsets.tolist()
+            targets = self.targets_int.tolist()
+            cache = [targets[bounds[i]:bounds[i + 1]]
+                     for i in range(len(bounds) - 1)]
             self._int_neighbor_cache = cache
         return cache
 
@@ -320,14 +301,8 @@ class CSRGraphStore(GraphStore):
         """
         return self._vertex_refs
 
-    @property
-    def uses_ndarrays(self) -> bool:
-        """Whether the CSR arrays are numpy ndarrays (vectorized kernels
-        require it; the stdlib ``array`` fallback pins the loop tier)."""
-        return _np is not None and isinstance(self._out.offsets, _np.ndarray)
-
     def indices_of_type_array(self, vertex_type: str):
-        """:meth:`indices_of_type` as a cached index ndarray (numpy only)."""
+        """:meth:`indices_of_type` as a cached index ndarray."""
         cached = self._type_index_arrays.get(vertex_type)
         if cached is None:
             members = self._by_type.get(vertex_type, ())
@@ -349,14 +324,12 @@ class CSRGraphStore(GraphStore):
 
     def csr_ndarrays(self, direction: str = "out", label: str | None = None):
         """``(offsets, targets)`` as ndarrays, or ``None`` when the block is
-        absent (unknown label) or the store is not ndarray-backed.
+        absent (unknown label).
 
         Unlike :meth:`csr_arrays` this never fabricates an empty block and
         never triggers the python neighbor-list caches — it is the entry
         point of the whole-array kernels.
         """
-        if not self.uses_ndarrays:
-            return None
         block = self._block(direction, label)
         if block is None:
             return None
@@ -368,7 +341,7 @@ class CSRGraphStore(GraphStore):
 
         ``indices`` is an integer ndarray of interned vertex ids; returns
         ``(flat_targets, counts)`` per :func:`gather_slices`.  For an absent
-        label every source has zero neighbors.  Requires ndarray backing.
+        label every source has zero neighbors.
         """
         block = self._block(direction, label)
         if block is None:
@@ -382,11 +355,8 @@ class CSRGraphStore(GraphStore):
         The whole-array counterpart of :meth:`undirected_int_adjacency` —
         same per-vertex neighbor sets (duplicates from parallel and mutual
         edges removed), packed contiguously for per-pass label-propagation
-        votes.  Built and cached on first use; ``None`` without ndarray
-        backing.
+        votes.  Built and cached on first use.
         """
-        if not self.uses_ndarrays:
-            return None
         cached = self._undirected_arrays
         if cached is None:
             adjacency = self.undirected_int_adjacency()

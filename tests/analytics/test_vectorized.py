@@ -1,40 +1,40 @@
-"""Tier-pinned tests for the vectorized analytics kernels.
+"""Differential tests for the vectorized analytics kernels.
 
-The analytics stack has three execution tiers — **vectorized** (numpy
-whole-array kernels), **loops** (pure-python index-space kernels, the
-automatic fallback when numpy is absent), and **reference** (the dict-store
-implementations).  These tests pin each tier explicitly through the
-environment escape hatches and assert:
+The analytics stack has two execution tiers — **vectorized** (numpy
+whole-array kernels over the CSR ndarrays) and **reference** (the dict-store
+implementations, the one oracle).  These tests assert:
 
-* three-way row identity (``vectorized == loops == reference``) plus
-  deterministic-counter parity between the two CSR tiers,
+* row identity (``vectorized == reference``) on every fixture graph, with
+  the kernels' deterministic work counters pinned to literal values,
 * dtype edge cases — empty graphs, single vertices, self-loop-heavy graphs,
   and the ``int32`` → ``int64`` widening guard (driven by shrinking
   :data:`repro.storage.csr._INT32_LIMIT`, not by building 2-billion-edge
   graphs),
-* the numpy-absent fallback: stores built without numpy (stdlib ``array``
-  backing) and kernels dispatched without numpy both land on the loop tier
-  with identical results,
-* the physical executor's batched gather path agrees with the loop path on
-  rows, work counters, and ``max_work`` budget enforcement,
-* MVCC-pinned service snapshots return identical rows whichever tier
+* the physical executor's batched gather path (CSR store) agrees with the
+  per-source path (dict graph) on rows, work counters, and ``max_work``
+  budget enforcement,
+* MVCC-pinned service snapshots return identical rows whichever path
   executes them,
 * ``compute_statistics`` / ``out_degree_histogram`` produce field-by-field
   identical results on the ndarray and dict scan paths,
 * every tier decision lands in :data:`repro.analytics.kernels.dispatch_counts`
   and mirrors into ``kaskade_kernel_dispatch_total{path=...}``.
-
-Each test re-pins the tiers it needs, so the whole file is meaningful both
-in the default CI leg and under the ``ANALYTICS_FORCE_LOOPS=1`` fallback leg.
 """
 
 from __future__ import annotations
 
 import gc
 
+import numpy as _np
 import pytest
 
-from repro.analytics import bulk_k_hop_counts, kernels, label_propagation
+from repro.analytics import (
+    blast_radius,
+    bulk_k_hop_counts,
+    k_hop_neighborhood,
+    kernels,
+    label_propagation,
+)
 from repro.core import Kaskade
 from repro.datasets.provenance import (
     provenance_graph,
@@ -42,7 +42,6 @@ from repro.datasets.provenance import (
 )
 from repro.datasets.random_graphs import erdos_renyi_graph, power_law_graph
 from repro.errors import QueryExecutionError
-from repro.graph import statistics as graph_statistics
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.statistics import compute_statistics, out_degree_histogram
 from repro.query import execute_query, parse_query
@@ -51,20 +50,13 @@ from repro.service.mvcc import SnapshotManager
 from repro.storage import csr
 from repro.storage.csr import CSRGraphStore
 
-needs_numpy = pytest.mark.skipif(not kernels.numpy_available(),
-                                 reason="vectorized tier requires numpy")
-
-
 def pin_tier(monkeypatch, tier: str) -> None:
-    """Pin kernel dispatch to one tier via the environment escape hatches."""
-    monkeypatch.delenv(kernels.FORCE_LOOPS_ENV, raising=False)
-    monkeypatch.delenv(kernels.FORCE_REFERENCE_ENV, raising=False)
-    if tier == "loops":
-        monkeypatch.setenv(kernels.FORCE_LOOPS_ENV, "1")
-    elif tier == "reference":
+    """Select the oracle (or not) via the one environment escape hatch."""
+    if tier == "reference":
         monkeypatch.setenv(kernels.FORCE_REFERENCE_ENV, "1")
     else:
         assert tier == "vectorized"
+        monkeypatch.delenv(kernels.FORCE_REFERENCE_ENV, raising=False)
 
 
 def self_loop_heavy_graph() -> PropertyGraph:
@@ -98,15 +90,26 @@ def tier_graph(request):
     return GRAPH_BUILDERS[request.param]()
 
 
-# ------------------------------------------------------- three-way identity
-@needs_numpy
-def test_three_way_bulk_k_hop_identity(tier_graph, monkeypatch):
-    """vectorized == loops == reference, per anchor, across directions,
-    label filters, and type masks — and the two CSR tiers consume exactly
-    the same number of adjacency entries."""
+#: Literal ``KernelStats`` of the sweeps below, per fixture graph:
+#: ``(bulk traversal_edges, bulk sources, LPA traversal_edges, LPA passes,
+#: blast-radius traversal_edges, blast-radius sources)``.
+#: Measured once against the retired edge-at-a-time CSR kernels (which
+#: counted ``len(neighbors)`` per expanded vertex) and frozen here.
+EXPECTED_STATS = {
+    "erdos": (113203, 480, 9256, 13, 19529, 80),
+    "power_law": (8687, 600, 3510, 13, 795, 100),
+    "prov": (20511, 1422, 7852, 13, 900, 50),
+    "self_loops": (2320, 240, 784, 7, 125, 14),
+}
+
+
+# ---------------------------------------------------------- row identity
+def test_bulk_k_hop_matches_reference(request, tier_graph, monkeypatch):
+    """vectorized == reference, per anchor, across directions, label
+    filters, and type masks — consuming exactly the pinned number of
+    adjacency entries."""
     graph = tier_graph
     store = CSRGraphStore.from_graph(graph)
-    assert store.uses_ndarrays
     labels = graph.edge_labels()
     cases = [
         dict(direction="out"),
@@ -116,72 +119,96 @@ def test_three_way_bulk_k_hop_identity(tier_graph, monkeypatch):
         dict(direction="both", edge_labels=labels),
         dict(direction="out", vertex_type=graph.vertex_types()[0]),
     ]
-    stats = {}
-    rows = {}
-    for tier in ("vectorized", "loops", "reference"):
-        pin_tier(monkeypatch, tier)
-        if tier == "reference":
-            rows[tier] = [bulk_k_hop_counts(graph, 3, **case)
+    stats = kernels.KernelStats()
+    vectorized = [kernels.bulk_k_hop_counts(store, 3, stats=stats, **case)
+                  for case in cases]
+    pin_tier(monkeypatch, "reference")
+    assert vectorized == [bulk_k_hop_counts(graph, 3, **case)
                           for case in cases]
-            continue
-        assert kernels.kernel_tier(store) == tier
-        stats[tier] = kernels.KernelStats()
-        rows[tier] = [kernels.bulk_k_hop_counts(store, 3, stats=stats[tier],
-                                                **case)
-                      for case in cases]
-    assert rows["vectorized"] == rows["loops"] == rows["reference"]
-    assert stats["vectorized"].traversal_edges == stats["loops"].traversal_edges
-    assert stats["vectorized"].sources == stats["loops"].sources
-    assert stats["vectorized"].batched_ops > 0
-    assert stats["loops"].batched_ops == 0
+    edges, sources = EXPECTED_STATS[request.node.callspec.id][:2]
+    assert stats.traversal_edges == edges
+    assert stats.sources == sources
+    assert stats.batched_ops > 0
 
 
-@needs_numpy
-def test_three_way_label_propagation_identity(tier_graph, monkeypatch):
+def test_label_propagation_matches_reference(request, tier_graph, monkeypatch):
     graph = tier_graph
     store = CSRGraphStore.from_graph(graph)
-    rows = {}
-    for tier in ("vectorized", "loops", "reference"):
-        pin_tier(monkeypatch, tier)
-        target = graph if tier == "reference" else store
-        rows[tier] = [label_propagation(target, passes=passes,
-                                        write_property=None)
-                      for passes in (0, 1, 3, 9)]
-    assert rows["vectorized"] == rows["loops"] == rows["reference"]
+    stats = kernels.KernelStats()
+    vectorized = [kernels.label_propagation(store, passes=passes,
+                                            write_property=None, stats=stats)
+                  for passes in (0, 1, 3, 9)]
+    pin_tier(monkeypatch, "reference")
+    assert vectorized == [label_propagation(graph, passes=passes,
+                                            write_property=None)
+                          for passes in (0, 1, 3, 9)]
+    edges, passes = EXPECTED_STATS[request.node.callspec.id][2:4]
+    assert stats.traversal_edges == edges
+    assert stats.passes == passes
+    # The undirected adjacency is pulled from the store exactly once.
+    assert stats.store_reads == 2 * store.num_edges
 
 
-@needs_numpy
-def test_vectorized_write_back_matches_loops(monkeypatch):
-    """The Q7 write-back lands identical labels on the live graph from
-    either CSR tier (property dicts are shared with the source graph)."""
+def test_single_source_kernels_match_reference(request, tier_graph,
+                                               monkeypatch):
+    """Per-anchor BFS kernels (k-hop neighbourhood, blast radius): same
+    distances, and blast-radius rows bit-identical — downstream order and
+    float totals included."""
+    graph = tier_graph
+    store = CSRGraphStore.from_graph(graph)
+    anchor_type = graph.vertex_types()[0]
+    sources = graph.vertex_ids()[:10]
+    labels = graph.edge_labels()
+    cases = [dict(direction="out"), dict(direction="in"),
+             dict(direction="both", edge_labels=labels[:1]),
+             dict(direction="out", include_source=True)]
+    stats = kernels.KernelStats()
+    hoods = [k_hop_neighborhood(store, source, 3, **case)
+             for source in sources for case in cases]
+    rows = kernels.blast_radius_rows(store, max_hops=4, job_type=anchor_type,
+                                     stats=stats)
+    entries = blast_radius(store, max_hops=4, job_type=anchor_type)
+    pin_tier(monkeypatch, "reference")
+    assert hoods == [k_hop_neighborhood(graph, source, 3, **case)
+                     for source in sources for case in cases]
+    assert entries == blast_radius(graph, max_hops=4, job_type=anchor_type)
+    edges, anchors = EXPECTED_STATS[request.node.callspec.id][4:]
+    assert stats.traversal_edges == edges
+    assert stats.sources == anchors == len(rows)
+
+
+def test_vectorized_write_back_matches_reference(monkeypatch):
+    """The Q7 write-back through the CSR kernel lands the reference's labels
+    on the live graph (property dicts are shared with the source graph)."""
     graph = self_loop_heavy_graph()
     store = CSRGraphStore.from_graph(graph)
-    pin_tier(monkeypatch, "loops")
-    expected = label_propagation(store, passes=4, write_property=None)
+    pin_tier(monkeypatch, "reference")
+    expected = label_propagation(graph, passes=4, write_property=None)
     pin_tier(monkeypatch, "vectorized")
     label_propagation(store, passes=4, write_property="wb")
     assert {v.id: v.get("wb") for v in graph.vertices()} == expected
 
 
 # ------------------------------------------------------------- dtype edges
-@needs_numpy
 def test_empty_graph_every_tier(monkeypatch):
-    empty = CSRGraphStore.from_graph(PropertyGraph(name="empty"))
-    for tier in ("vectorized", "loops"):
+    graph = PropertyGraph(name="empty")
+    empty = CSRGraphStore.from_graph(graph)
+    for tier, target in (("vectorized", empty), ("reference", graph)):
         pin_tier(monkeypatch, tier)
-        assert bulk_k_hop_counts(empty, 3) == {}
-        assert label_propagation(empty, passes=5, write_property=None) == {}
+        assert bulk_k_hop_counts(target, 3) == {}
+        assert label_propagation(target, passes=5, write_property=None) == {}
     assert compute_statistics(empty, use_cache=False).per_type == {}
 
 
-@needs_numpy
 def test_single_vertex_and_self_loop_source_never_counted(monkeypatch):
-    g = PropertyGraph(name="one")
-    g.add_vertex("only", "Job")
-    lone = CSRGraphStore.from_graph(g)
+    lone_graph = PropertyGraph(name="one")
+    lone_graph.add_vertex("only", "Job")
+    g = lone_graph.copy()
     g.add_edge("only", "only", "SELF")
-    looped = CSRGraphStore.from_graph(g)
-    for tier in ("vectorized", "loops"):
+    for tier, lone, looped in (
+            ("vectorized", CSRGraphStore.from_graph(lone_graph),
+             CSRGraphStore.from_graph(g)),
+            ("reference", lone_graph, g)):
         pin_tier(monkeypatch, tier)
         assert bulk_k_hop_counts(lone, 2) == {"only": 0}
         # The source is pre-stamped: a self-loop closing straight back onto
@@ -193,18 +220,15 @@ def test_single_vertex_and_self_loop_source_never_counted(monkeypatch):
 
 
 def test_index_dtype_widening_guard():
-    _np = pytest.importorskip("numpy")
     assert csr._index_dtype(csr._INT32_LIMIT) == _np.int32
     assert csr._index_dtype(csr._INT32_LIMIT + 1) == _np.int64
     assert csr._index_array([0, 1, 2], 2).dtype == _np.int32
 
 
-@needs_numpy
 def test_int64_widened_store_matches_int32_results(monkeypatch):
     """Shrinking ``_INT32_LIMIT`` forces the whole stack — CSR arrays,
     gather positions, and the bulk kernel's packed sort keys — onto the
     ``int64`` path; results must be bit-identical to the ``int32`` run."""
-    _np = pytest.importorskip("numpy")
     graph = GRAPH_BUILDERS["erdos"]()
     pin_tier(monkeypatch, "vectorized")
     narrow_store = CSRGraphStore.from_graph(graph)
@@ -223,108 +247,81 @@ def test_int64_widened_store_matches_int32_results(monkeypatch):
                                      direction="both") == expected_bulk
     assert label_propagation(wide_store, passes=6,
                              write_property=None) == expected_lpa
-    # The widened run must also agree with the loop tier on the same store.
-    pin_tier(monkeypatch, "loops")
-    assert kernels.bulk_k_hop_counts(wide_store, 3,
-                                     direction="both") == expected_bulk
-
-
-# ---------------------------------------------------- numpy-absent fallback
-def test_store_built_without_numpy_pins_loop_tier(monkeypatch):
-    graph = GRAPH_BUILDERS["prov"]()
+    # The widened run must also agree with the reference.
     pin_tier(monkeypatch, "reference")
-    expected_bulk = bulk_k_hop_counts(graph, 3)
-    expected_lpa = label_propagation(graph, passes=5, write_property=None)
-
-    pin_tier(monkeypatch, "vectorized")
-    monkeypatch.setattr(csr, "_np", None)
-    fallback = CSRGraphStore.from_graph(graph)
-    assert not fallback.uses_ndarrays
-    assert not kernels.vectorized_enabled(fallback)
-    assert kernels.kernel_tier(fallback) == "loops"
-    assert bulk_k_hop_counts(fallback, 3) == expected_bulk
-    assert label_propagation(fallback, passes=5,
+    assert bulk_k_hop_counts(graph, 3, direction="both") == expected_bulk
+    assert label_propagation(graph, passes=6,
                              write_property=None) == expected_lpa
 
 
-def test_kernels_without_numpy_pin_loop_tier(monkeypatch):
-    """Even an ndarray-backed store runs the loop kernels when the kernels
-    module itself lost its numpy import."""
-    graph = self_loop_heavy_graph()
-    store = CSRGraphStore.from_graph(graph)
-    pin_tier(monkeypatch, "reference")
-    expected = label_propagation(graph, passes=4, write_property=None)
-    pin_tier(monkeypatch, "vectorized")
-    monkeypatch.setattr(kernels, "_np", None)
-    assert not kernels.numpy_available()
-    assert kernels.kernel_tier(store) == "loops"
-    assert label_propagation(store, passes=4, write_property=None) == expected
-    assert bulk_k_hop_counts(store, 2) == bulk_k_hop_counts(graph, 2)
-
-
 # ----------------------------------------------------- executor tier parity
-@needs_numpy
-def test_executor_gather_path_matches_loop_path(monkeypatch):
-    """The batched-gather expansion returns the same rows AND the same work
-    counters as the per-binding loop path, so the ``max_work`` budget trips
-    at exactly the same threshold on both."""
+def test_executor_gather_path_matches_per_source_path(monkeypatch):
+    """The batched-gather expansion (planner on the CSR store) returns the
+    same rows AND the same work counters as the per-source expansion
+    (planner on the dict graph, and on the store under the forced
+    reference), so the ``max_work`` budget trips at exactly the same
+    threshold on every path."""
     graph = provenance_graph(num_jobs=25, seed=7)
     store = CSRGraphStore.from_graph(graph)
     query = parse_query(
         "MATCH (j:Job)-[:WRITES_TO]->(f:File), (f)-[:IS_READ_BY]->(b:Job) "
         "RETURN j, b")
-    results = {}
-    for tier in ("vectorized", "loops"):
-        pin_tier(monkeypatch, tier)
-        results[tier] = execute_query(store, query, engine="planner")
-    vec, loop = results["vectorized"], results["loops"]
-    assert sorted(map(str, vec.rows)) == sorted(map(str, loop.rows))
-    for field in ("vertices_scanned", "edges_expanded", "bindings_produced",
-                  "total_work"):
-        assert getattr(vec.stats, field) == getattr(loop.stats, field), field
+    paths = {"gather": ("vectorized", store),
+             "per-source dict": ("vectorized", graph),
+             "per-source csr": ("reference", store)}
 
-    total = vec.stats.total_work
+    def run(path, **kwargs):
+        tier, target = paths[path]
+        pin_tier(monkeypatch, tier)
+        return execute_query(target, query, engine="planner", **kwargs)
+
+    gathered = run("gather")
+    assert len(gathered.rows) > 0
+    for path in ("per-source dict", "per-source csr"):
+        result = run(path)
+        assert sorted(map(str, gathered.rows)) == sorted(map(str, result.rows))
+        for field in ("vertices_scanned", "edges_expanded",
+                      "bindings_produced", "total_work"):
+            assert (getattr(gathered.stats, field)
+                    == getattr(result.stats, field)), (path, field)
+
+    total = gathered.stats.total_work
     for budget in (1, total // 2, total - 1, total):
         verdicts = {}
-        for tier in ("vectorized", "loops"):
-            pin_tier(monkeypatch, tier)
+        for path in paths:
             try:
-                execute_query(store, query, engine="planner", max_work=budget)
-                verdicts[tier] = "ok"
+                run(path, max_work=budget)
+                verdicts[path] = "ok"
             except QueryExecutionError:
-                verdicts[tier] = "over budget"
-        assert verdicts["vectorized"] == verdicts["loops"], budget
-    assert verdicts["vectorized"] == "ok"  # the exact budget fits
+                verdicts[path] = "over budget"
+        assert len(set(verdicts.values())) == 1, (budget, verdicts)
+    assert verdicts["gather"] == "ok"  # the exact budget fits
 
 
 # ------------------------------------------------------- MVCC snapshot parity
-@needs_numpy
 def test_mvcc_pinned_snapshot_identical_across_tiers(monkeypatch):
     kaskade = Kaskade(provenance_graph(num_jobs=20, seed=3))
     manager = SnapshotManager(kaskade, max_retained=3)
     query = kaskade.parse("MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j, f")
     outcomes = {}
     with manager.pinned() as snapshot:
-        for tier in ("vectorized", "loops"):
+        for tier in ("vectorized", "reference"):
             pin_tier(monkeypatch, tier)
             outcomes[tier] = manager.execute_pinned(query, snapshot)
-    vec, loop = outcomes["vectorized"], outcomes["loops"]
-    assert sorted(map(str, vec.result.rows)) == sorted(map(str, loop.result.rows))
-    assert vec.executed_version == loop.executed_version
+    vec, ref = outcomes["vectorized"], outcomes["reference"]
+    assert sorted(map(str, vec.result.rows)) == sorted(map(str, ref.result.rows))
+    assert vec.executed_version == ref.executed_version
     assert len(vec.result.rows) > 0
 
 
 # --------------------------------------------------- statistics regression
-@needs_numpy
-def test_statistics_ndarray_matches_dict_scan_field_by_field(tier_graph,
-                                                             monkeypatch):
+def test_statistics_ndarray_matches_dict_scan_field_by_field(tier_graph):
+    # CSRGraphStore.from_graph publishes no snapshot, so the dict graph
+    # itself stays on the per-vertex scan path.
     graph = tier_graph
     store = CSRGraphStore.from_graph(graph)
     vec_stats = compute_statistics(store, use_cache=False)
-    vec_hist = {vertex_type: out_degree_histogram(store, vertex_type)
-                for vertex_type in [None] + graph.vertex_types()}
-    monkeypatch.setattr(graph_statistics, "_np", None)
-    dict_stats = compute_statistics(store, use_cache=False)
+    dict_stats = compute_statistics(graph, use_cache=False)
     assert vec_stats.total_vertices == dict_stats.total_vertices
     assert vec_stats.total_edges == dict_stats.total_edges
     assert set(vec_stats.per_type) == set(dict_stats.per_type)
@@ -338,17 +335,17 @@ def test_statistics_ndarray_matches_dict_scan_field_by_field(tier_graph,
         assert got.max_out_degree == expected.max_out_degree
         assert got.percentiles == expected.percentiles
     for vertex_type in [None] + graph.vertex_types():
-        assert vec_hist[vertex_type] == out_degree_histogram(store, vertex_type)
+        assert (out_degree_histogram(store, vertex_type)
+                == out_degree_histogram(graph, vertex_type))
 
 
 # --------------------------------------------------------- dispatch counter
-@needs_numpy
 def test_dispatch_counts_and_service_metrics_mirror(monkeypatch):
     graph = summarized_provenance_graph(num_jobs=30, seed=2)
     store = CSRGraphStore.from_graph(graph)
     metrics = ServiceMetrics()
     rendered = metrics.registry.render()
-    for path in ("vectorized", "loops", "reference"):
+    for path in ("vectorized", "reference"):
         # Pre-seeded: every series is visible on /metrics before any query.
         assert f'kaskade_kernel_dispatch_total{{path="{path}"}} 0' in rendered
     before = dict(kernels.dispatch_counts)
@@ -357,11 +354,6 @@ def test_dispatch_counts_and_service_metrics_mirror(monkeypatch):
     label_propagation(store, passes=1, write_property=None)
     assert kernels.dispatch_counts["vectorized"] == before["vectorized"] + 1
     assert metrics.kernel_dispatch.value(path="vectorized") == 1
-
-    pin_tier(monkeypatch, "loops")
-    label_propagation(store, passes=1, write_property=None)
-    assert kernels.dispatch_counts["loops"] == before["loops"] + 1
-    assert metrics.kernel_dispatch.value(path="loops") == 1
 
     pin_tier(monkeypatch, "reference")
     label_propagation(graph, passes=1, write_property=None)

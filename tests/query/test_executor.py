@@ -180,7 +180,7 @@ class TestStatsAndBudget:
         assert small_work < big_work
 
     def test_work_budget_enforced(self, lineage):
-        executor = QueryExecutor(lineage, max_bindings=1)
+        executor = QueryExecutor(lineage, max_work=1)
         with pytest.raises(QueryExecutionError):
             executor.execute(parse_query(
                 "MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j, f"))

@@ -156,10 +156,9 @@ class TestPhysicalExecution:
             with pytest.raises(QueryExecutionError):
                 execute_query(lineage, query, engine=engine)
 
-    def test_max_bindings_alias_still_accepted(self, lineage):
-        executor = QueryExecutor(lineage, max_bindings=1)
+    def test_max_work_budget_enforced(self, lineage):
+        executor = QueryExecutor(lineage, max_work=1)
         assert executor.max_work == 1
-        assert executor.max_bindings == 1
         with pytest.raises(QueryExecutionError):
             executor.execute(parse_query(
                 "MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j, f"))

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.analytics import kernels
 from repro.errors import CircuitOpenError, DeadlineExceededError, ServiceError
 from repro.service.client import (
     RETRYABLE_STATUSES,
@@ -190,45 +189,3 @@ class TestCircuitBreaker:
             transport, retry=RetryPolicy(max_attempts=1, seed=0))
         assert client.ready() is False
 
-
-class TestKernelDegradation:
-    @pytest.fixture(autouse=True)
-    def _uninstall(self):
-        yield
-        kernels.install_breaker(None)
-
-    def test_open_breaker_disables_vectorized_tier(self):
-        if not kernels.numpy_available():
-            pytest.skip("vectorized tier absent in this environment")
-        breaker = CircuitBreaker("kernels", failure_threshold=1)
-        kernels.install_breaker(breaker)
-        assert kernels.vectorized_enabled()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not kernels.vectorized_enabled()
-
-    def test_vectorized_failure_records_and_degrades(self):
-        breaker = CircuitBreaker("kernels", failure_threshold=5)
-        kernels.install_breaker(breaker)
-        assert kernels._vectorized_failed() is True
-        assert breaker.recent_failures == 1
-        kernels.install_breaker(None)
-        assert kernels._vectorized_failed() is False  # no breaker: re-raise
-
-    def test_probe_success_closes_breaker(self):
-        clock = [0.0]
-        breaker = CircuitBreaker("kernels", failure_threshold=1,
-                                 reset_seconds=1.0, clock=lambda: clock[0])
-        kernels.install_breaker(breaker)
-        breaker.record_failure()
-        clock[0] = 2.0
-        assert breaker.state == "half-open"
-        kernels._vectorized_succeeded()
-        assert breaker.state == "closed"
-
-    def test_breaker_is_weakly_held(self):
-        breaker = CircuitBreaker("ephemeral")
-        kernels.install_breaker(breaker)
-        assert kernels.installed_breaker() is breaker
-        del breaker
-        assert kernels.installed_breaker() is None

@@ -170,13 +170,3 @@ class TestServiceMetrics:
         assert "kaskade_query_latency_seconds_bucket" in text
         assert "kaskade_query_latency_seconds_sum" in text
         assert "kaskade_query_latency_seconds_count 1" in text
-
-    def test_parallel_series_preseeded_at_zero(self):
-        # Both dispatch paths and the shard gauges must exist before any
-        # parallel-tier activity, so dashboards never start from a gap.
-        metrics = ServiceMetrics()
-        text = metrics.render()
-        assert 'kaskade_parallel_dispatch_total{path="parallel"} 0' in text
-        assert 'kaskade_parallel_dispatch_total{path="single"} 0' in text
-        assert "kaskade_shard_count" in text
-        assert "kaskade_shard_edge_balance_ratio" in text
