@@ -9,7 +9,7 @@ forever; the adaptive arm lets the view lifecycle engine
 workload log.  All assertions are on deterministic traversal-work counters
 (``ExecutionStats.total_work``), never wall-clock.
 
-Set ``ADAPTIVE_BENCH_SMOKE=1`` (CI) to shrink the phases while keeping every
+Set ``BENCH_SMOKE=1`` (CI) to shrink the phases while keeping every
 assertion — the ≥2x work reduction, the budget-pressure eviction at the flip,
 and run-to-run determinism all still gate.
 """
@@ -22,7 +22,7 @@ from repro.query import parse_query
 from repro.storage.manager import StorageManager, StoragePolicy, lookup_snapshot
 from repro.workloads import run_adaptive_workload
 
-SMOKE = os.environ.get("ADAPTIVE_BENCH_SMOKE") == "1"
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
 #: (phase A queries, phase B queries, adaptation cadence).
 PHASE_A, PHASE_B, ADAPT_EVERY = (8, 16, 4) if SMOKE else (12, 48, 8)

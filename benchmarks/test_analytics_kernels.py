@@ -22,7 +22,7 @@ Deterministic gates (asserted on every run, on any machine):
 Wall-clock numbers are printed and recorded (``bench_record`` →
 ``BENCH_analytics_kernels.json``), never asserted: timing is judged by
 ``perf/run.py compare`` against the ledger, not by per-PR thresholds.
-``ANALYTICS_BENCH_SMOKE=1`` (as CI does) shrinks the graphs.
+``BENCH_SMOKE=1`` (as CI does) shrinks the graphs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.graph.property_graph import PropertyGraph, VertexId
 from repro.storage.base import PropertyGraphStore
 from repro.storage.csr import CSRGraphStore
 
-SMOKE = os.environ.get("ANALYTICS_BENCH_SMOKE") == "1"
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
 #: Required store-adjacency-read advantage of the label-propagation kernel
 #: (asserted always — the counters are deterministic).

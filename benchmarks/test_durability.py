@@ -14,7 +14,7 @@ Two questions the crash-safety layer must answer with numbers:
    replayed through :func:`~repro.durability.recover_kaskade` under an
    asserted wall-clock budget.
 
-Set ``DURABILITY_BENCH_SMOKE=1`` (as CI does) to shrink the commit counts
+Set ``BENCH_SMOKE=1`` (as CI does) to shrink the commit counts
 while keeping every assertion.  Results land in ``BENCH_durability.json``.
 """
 
@@ -26,7 +26,7 @@ from repro.datasets.provenance import provenance_graph
 from repro.durability import DurabilityEngine, recover_kaskade
 from repro.service.mvcc import SnapshotManager
 
-SMOKE = os.environ.get("DURABILITY_BENCH_SMOKE") == "1"
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
 #: Commits per side of the overhead comparison.
 NUM_COMMITS = 150 if SMOKE else 400

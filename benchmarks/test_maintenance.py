@@ -16,7 +16,7 @@ maintained views equal the rebuild.  The delta-vs-full speedup on the
 ``BENCH_maintenance.json``), never asserted: timing is judged by
 ``perf/run.py compare``, not by per-PR thresholds.
 
-Set ``MAINTENANCE_BENCH_SMOKE=1`` (as CI does) to run a tiny graph/stream.
+Set ``BENCH_SMOKE=1`` (as CI does) to run a tiny graph/stream.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.views import (
 )
 from repro.workloads import generate_edge_mutations
 
-SMOKE = os.environ.get("MAINTENANCE_BENCH_SMOKE") == "1"
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
 if SMOKE:
     NUM_JOBS, NUM_BATCHES, MUTATIONS_PER_BATCH = 40, 3, 40

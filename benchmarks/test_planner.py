@@ -10,7 +10,7 @@ the headline: at least ``MIN_WORK_REDUCTION``x less work on the most
 selective query.
 
 Because the assertion is on deterministic work counters (never wall-clock),
-it holds in CI too: ``PLANNER_BENCH_SMOKE=1`` merely shrinks the graph.
+it holds in CI too: ``BENCH_SMOKE=1`` merely shrinks the graph.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.datasets.provenance import summarized_provenance_graph
 from repro.graph.statistics import percentile
 from repro.query import execute_query, parse_query
 
-SMOKE = os.environ.get("PLANNER_BENCH_SMOKE") == "1"
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
 #: Required work advantage of the planned pipeline on the most selective query.
 MIN_WORK_REDUCTION = 2.0

@@ -17,7 +17,7 @@ layer exists for:
 Results are emitted to ``BENCH_service.json`` (shared ``bench_record``
 fixture): requests, sheds, p50/p99 latency, throughput.
 
-Set ``SERVICE_BENCH_SMOKE=1`` (as CI does) to shrink the fan-out while still
+Set ``BENCH_SMOKE=1`` (as CI does) to shrink the fan-out while still
 exercising saturation, shedding, and the metrics reconciliation.
 """
 
@@ -31,7 +31,7 @@ import time
 from repro.datasets.provenance import provenance_graph
 from repro.service import AdmissionPolicy, GraphService, serve_in_thread
 
-SMOKE = os.environ.get("SERVICE_BENCH_SMOKE") == "1"
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
 if SMOKE:
     NUM_JOBS, BURST_CLIENTS, ROUNDS, MUTATE_EVERY = 80, 24, 2, 4

@@ -7,15 +7,16 @@ This module ties every component of Fig. 2 together around one base graph:
   model, solves the knapsack, and materializes the chosen views into the view
   catalog;
 * the **query rewriter** (:meth:`Kaskade.rewrite`) finds, among the
-  *materialized* views, the rewrite with the smallest estimated evaluation
-  cost for an incoming query;
-* the **execution engine** (:meth:`Kaskade.execute`) plans the original query
-  against the base graph and every applicable rewrite against its view,
+  *materialized* views, the rewrite that runs wholly on its view with the
+  smallest planned evaluation cost for an incoming query;
+* the **execution engine** (:meth:`Kaskade.execute_on`) plans the original
+  query against a base store and the best rewrite against its view's store,
   compares the *planned* costs (cached per query signature + graph version),
   and runs the cheaper plan through the batched operator pipeline
-  (:mod:`repro.query.plan`) — automatically choosing the right target graph
-  (the connector view's graph, a summarized graph, the base∪connector union,
-  or the raw graph).
+  (:mod:`repro.query.plan`).  Embedded callers reach it through
+  :meth:`Kaskade.execute` (live graph + catalog), the MVCC service through
+  :meth:`~repro.service.mvcc.SnapshotManager.execute_pinned` (a pinned
+  snapshot's frozen stores): one decision for both.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.core.cost_model import ViewCostModel
 from repro.errors import QueryExecutionError, ViewError
@@ -37,7 +38,6 @@ from repro.graph.property_graph import PropertyGraph
 from repro.graph.schema import GraphSchema
 from repro.graph.statistics import compute_statistics
 from repro.query.ast import GraphQuery
-from repro.query.cost import QueryCostModel
 from repro.query.executor import ENGINES, ExecutionResult, QueryExecutor
 from repro.query.stats import WorkFeedback
 from repro.query.plan import LogicalPlan, PhysicalExecutor, QueryPlanner
@@ -56,10 +56,10 @@ _MAX_SAVED_REWRITES = 512
 #: target graph's identity and version; oldest evicted first).
 _MAX_SAVED_PLANS = 1024
 
-#: Cached per-(graph, version) cost models / planners retained at once.  Under
-#: mutating traffic every refresh mints a new version key, so these must be
-#: bounded like the plan cache (oldest evicted first).
-_MAX_CACHED_MODELS = 64
+#: Cached per-(graph, version) planners retained at once.  Under mutating
+#: traffic every refresh mints a new version key, so these must be bounded
+#: like the plan cache (oldest evicted first).
+_MAX_CACHED_PLANNERS = 64
 
 
 @dataclass
@@ -89,7 +89,9 @@ class QueryOutcome:
 
     query: GraphQuery
     result: ExecutionResult
-    used_view: MaterializedView | None = None
+    #: The view that served the query: a catalog ``MaterializedView`` when
+    #: run embedded, the snapshot's captured ``SnapshotView`` when served.
+    used_view: Any = None
     rewrite: RewrittenQuery | None = None
     elapsed_seconds: float = 0.0
     plan: LogicalPlan | None = None
@@ -106,8 +108,9 @@ class QueryOutcome:
     #: the interpreter engine, which never plans).  The serving layer's
     #: metrics read this to report the plan-cache hit rate.
     plan_cache_hit: bool | None = None
-    #: Graph ``version`` the query executed against (the pinned snapshot's
-    #: version under MVCC serving, the live graph's otherwise).
+    #: Base graph ``version`` the query executed at (the pinned snapshot's
+    #: version under MVCC serving, the live graph's otherwise) — also when a
+    #: view served it.
     executed_version: int | None = None
 
     @property
@@ -204,12 +207,10 @@ class Kaskade:
         # ids can be recycled after GC (serving another query's rewrites) and
         # per-object keys grow without bound.
         self._saved_rewrites: dict[str, list[RewrittenQuery]] = {}
-        # Planner/cost-model caches, keyed by (graph name, version): rewrite
-        # assessment touches every rewrite of every query, so statistics and
-        # degree summaries must not be recomputed per rewrite.  Versioned
-        # keys make mutations (base graph updates, view maintenance)
-        # invalidate naturally.
-        self._cost_models: dict[tuple[str, int | None], QueryCostModel] = {}
+        # Planner cache, keyed by (graph name, version): rewrite assessment
+        # touches every rewrite of every query, so planners must not be
+        # rebuilt per rewrite.  Versioned keys make mutations (base graph
+        # updates, view maintenance) invalidate naturally.
         self._planners: dict[tuple[str, int | None], QueryPlanner] = {}
         # (query signature, graph name, graph version) -> logical plan; the
         # per-query analogue of saved rewrites.
@@ -229,10 +230,10 @@ class Kaskade:
         # telemetry — the caches themselves are protected below.
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        # Guards cache *mutation* (insert + eviction) in the planner/cost-
-        # model/plan caches.  Lookups stay lock-free dict reads; only the
-        # cold miss path takes the lock, so concurrent snapshot readers never
-        # serialize on cache hits.
+        # Guards cache *mutation* (insert + eviction) in the planner/plan
+        # caches.  Lookups stay lock-free dict reads; only the cold miss path
+        # takes the lock, so concurrent snapshot readers never serialize on
+        # cache hits.
         self._cache_lock = threading.Lock()
 
     # ----------------------------------------------------------------- parsing
@@ -296,17 +297,15 @@ class Kaskade:
         """Completely evict a materialized view.
 
         Beyond :meth:`ViewCatalog.drop` (which already releases the CSR
-        snapshot, cached unions, and the persisted artifact through the
-        storage manager), the planner/cost-model/plan caches keyed by the
-        view graph's name are purged: a later re-materialization under the
-        same name starts a fresh version counter, so stale per-version
-        entries could otherwise serve outdated statistics.
+        snapshot and the persisted artifact through the storage manager),
+        the planner/plan caches keyed by the view graph's name are purged: a
+        later re-materialization under the same name starts a fresh version
+        counter, so stale per-version entries could otherwise serve outdated
+        statistics.
         """
         view = self.catalog.drop(definition)
         graph_name = getattr(view.graph, "name", None)
         if graph_name is not None:
-            self._cost_models = {key: model for key, model in self._cost_models.items()
-                                 if key[0] != graph_name}
             self._planners = {key: planner for key, planner in self._planners.items()
                               if key[0] != graph_name}
             self._saved_plans = {key: plan for key, plan in self._saved_plans.items()
@@ -361,59 +360,57 @@ class Kaskade:
                 self._saved_rewrites.pop(next(iter(self._saved_rewrites)), None)
             self._saved_rewrites[key] = rewrites
 
-    def rewrite(self, query: GraphQuery) -> RewrittenQuery | None:
-        """Find the best view-based rewrite of a query among materialized views (§V-C).
+    def rewrite(self, query: GraphQuery, views: Mapping[tuple, Any] | None = None
+                ) -> RewrittenQuery | None:
+        """The cheapest rewrite of a query that runs wholly on one view (§V-C).
 
-        Returns None when no materialized view produces a valid rewrite.
+        ``views`` maps definition signatures to the views a rewrite may use,
+        each exposing ``definition`` and ``read_store()``; the catalog's views
+        by default.  Each candidate is costed by planning the rewritten query
+        on the store it would run on.  Mixed rewrites — raw hops kept beside
+        the connector edge — are never chosen
+        (:attr:`~repro.core.rewriter.RewrittenQuery.runs_on_view`).
+
+        Returns None when no view produces such a rewrite.
         """
+        if views is None:
+            views = self.catalog.by_signature
         saved = self._saved_rewrites.get(query.structural_signature(), [])
-        rewrites = [r for r in saved
-                    if self.catalog.contains(r.candidate.definition)]
+        rewrites = [r for r in saved if r.candidate.definition.signature() in views]
         if not rewrites:
             # Re-enumerate: generate candidates, prune those not materialized.
             candidates = [
                 candidate for candidate in self.enumerate_views(query).candidates
-                if self.catalog.contains(candidate.definition)
+                if candidate.definition.signature() in views
             ]
             rewrites = self.rewriter.applicable(query, candidates)
-        if not rewrites:
-            return None
-        return min(rewrites, key=self._rewrite_cost)
+
+        def cost(rewrite: RewrittenQuery) -> float:
+            store = views[rewrite.candidate.definition.signature()].read_store()
+            return self.plan_for(rewrite.rewritten, store).estimated_cost
+
+        return min((r for r in rewrites if r.runs_on_view), key=cost, default=None)
 
     # ------------------------------------------------------ planning & costing
     def _graph_key(self, graph: GraphLike) -> tuple[str, int | None]:
         return (getattr(graph, "name", "?"), getattr(graph, "version", None))
 
-    def cost_model_for(self, graph: GraphLike) -> QueryCostModel:
-        """The AST-level cost model for a graph, cached per (name, version)."""
-        key = self._graph_key(graph)
-        model = self._cost_models.get(key)
-        if model is None:
-            model = QueryCostModel.for_graph(graph)
-            with self._cache_lock:
-                existing = self._cost_models.get(key)
-                if existing is not None:
-                    return existing
-                if len(self._cost_models) >= _MAX_CACHED_MODELS:
-                    self._cost_models.pop(next(iter(self._cost_models)), None)
-                self._cost_models[key] = model
-        return model
-
     def planner_for(self, graph: GraphLike) -> QueryPlanner:
         """The query planner for a graph, cached per (name, version).
 
-        Shares the statistics already computed for the cached cost model, so
-        assessing N rewrites against one view costs one degree scan total.
+        Its statistics come from :func:`compute_statistics`, memoised per
+        graph version, so assessing N rewrites against one view costs one
+        degree scan total.
         """
         key = self._graph_key(graph)
         planner = self._planners.get(key)
         if planner is None:
-            planner = QueryPlanner(statistics=self.cost_model_for(graph).statistics)
+            planner = QueryPlanner(graph)
             with self._cache_lock:
                 existing = self._planners.get(key)
                 if existing is not None:
                     return existing
-                if len(self._planners) >= _MAX_CACHED_MODELS:
+                if len(self._planners) >= _MAX_CACHED_PLANNERS:
                     self._planners.pop(next(iter(self._planners)), None)
                 self._planners[key] = planner
         return planner
@@ -457,19 +454,6 @@ class Kaskade:
         total = self.plan_cache_hits + self.plan_cache_misses
         return self.plan_cache_hits / total if total else 0.0
 
-    def _rewrite_cost(self, rewrite: RewrittenQuery) -> float:
-        """Planned evaluation cost of a rewrite over its materialized view.
-
-        Costs the *plan* of the rewritten query against the view graph's
-        statistics (pushdown and join order included), not the bare AST; the
-        union graph of a mixed rewrite is approximated by the view graph to
-        keep costing read-only.
-        """
-        view = self.catalog.find(rewrite.candidate.definition)
-        if view is None:
-            return float("inf")
-        return self.plan_for(rewrite.rewritten, view.graph).estimated_cost
-
     # -------------------------------------------------------------- maintenance
     def _make_maintenance(self) -> MaintenanceManager:
         return MaintenanceManager(
@@ -502,13 +486,12 @@ class Kaskade:
     def execute(self, query: GraphQuery, use_views: bool = True,
                 max_work: int | None = None, engine: str = "planner"
                 ) -> QueryOutcome:
-        """Execute a query, choosing base vs. best view by planned cost.
+        """Execute a query on the live graph, choosing base vs. best view.
 
-        The decision mirrors §V-C at execution time: the base query is
-        planned against the base graph, every applicable rewrite is planned
-        against its view, and the cheaper plan runs (the view wins ties —
-        its statistics are exact where the base estimate saturates).  The
-        outcome records both costs and the executed plan.
+        Runs :meth:`execute_on` over the live base store and the catalog's
+        views, plus the two embedded-only steps: delta maintenance first
+        under ``auto_refresh``, and the adaptive lifecycle engine fed
+        afterwards (served readers never mutate the catalog).
 
         Args:
             query: Parsed query to run.
@@ -519,88 +502,77 @@ class Kaskade:
                 base-vs-view choice still applies) and is what differential
                 tests compare against.
         """
+        if use_views and self.auto_refresh and len(self.catalog):
+            self.refresh_views()
+        outcome = self.execute_on(query, self.storage.store_for(self.graph),
+                                  self.catalog.by_signature, use_views=use_views,
+                                  max_work=max_work, engine=engine)
+        # Feed the adaptive lifecycle engine; raw baselines (use_views=False)
+        # stay out of the log so A/B comparisons don't skew the mix.
+        if self.lifecycle is not None and use_views:
+            outcome.adaptation = self.lifecycle.observe(query, outcome)
+        return outcome
+
+    def execute_on(self, query: GraphQuery, base: GraphLike,
+                   views: Mapping[tuple, Any], *, use_views: bool = True,
+                   max_work: int | None = None, engine: str = "planner"
+                   ) -> QueryOutcome:
+        """The base-vs-view decision of §V-C over explicit stores, executed.
+
+        The base query is planned on ``base``; the cheapest rewrite that runs
+        wholly on one of ``views`` (see :meth:`rewrite`) is planned on that
+        view's store; the cheaper plan runs (the view wins ties — its
+        statistics are exact where the base estimate saturates).  The outcome
+        records both costs, the executed plan, and ``base``'s version.
+        :meth:`execute` and the MVCC service's ``execute_pinned`` both decide
+        here, so embedded and served answers agree at the same version.
+        """
         start = time.perf_counter()
         if engine not in ENGINES:
             raise QueryExecutionError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if use_views and self.auto_refresh and len(self.catalog):
-            self.refresh_views()
-        base = self.storage.store_for(self.graph)
         # Sampled *before* planning: the base-plan lookup below populates the
         # cache within this very call, so a check afterwards would always
         # report a hit.  "Had we already planned this query shape against
         # this graph version" is the signal serving metrics want.
         cached = self.plan_cached(query, base) if engine == "planner" else None
         self._count_plan_cache(cached)
-        base_cost = self.plan_for(query, base).estimated_cost
-        rewrite = self.rewrite(query) if use_views else None
-        rewrite_cost = self._rewrite_cost(rewrite) if rewrite is not None else None
-        considered = rewrite.candidate.definition.name if rewrite is not None else None
-
-        if rewrite is not None and rewrite_cost <= base_cost:
-            view = self.catalog.get(rewrite.candidate.definition)
-            target = self._target_graph(rewrite, view)
-            result, plan = self._run(rewrite.rewritten, target, engine, max_work)
-            outcome = QueryOutcome(query=query, result=result, used_view=view,
-                                   rewrite=rewrite, plan=plan, base_cost=base_cost,
-                                   rewrite_cost=rewrite_cost,
-                                   considered_view=considered, engine=engine,
-                                   plan_cache_hit=cached,
-                                   executed_version=getattr(target, "version", None),
-                                   elapsed_seconds=time.perf_counter() - start)
+        plan = self.plan_for(query, base)
+        base_cost = plan.estimated_cost
+        rewrite = self.rewrite(query, views) if use_views and views else None
+        rewrite_cost = used_view = None
+        target, run_query = base, query
+        if rewrite is not None:
+            view = views[rewrite.candidate.definition.signature()]
+            store = view.read_store()
+            rewrite_plan = self.plan_for(rewrite.rewritten, store)
+            rewrite_cost = rewrite_plan.estimated_cost
+            if rewrite_cost <= base_cost:
+                used_view, target = view, store
+                run_query, plan = rewrite.rewritten, rewrite_plan
+        if engine == "interpreter":
+            plan = None
+            result = QueryExecutor(target, max_work=max_work,
+                                   engine="interpreter").execute(run_query)
         else:
-            result, plan = self._run(query, base, engine, max_work)
-            outcome = QueryOutcome(query=query, result=result, plan=plan,
-                                   base_cost=base_cost, rewrite_cost=rewrite_cost,
-                                   considered_view=considered, engine=engine,
-                                   plan_cache_hit=cached,
-                                   executed_version=getattr(base, "version", None),
-                                   elapsed_seconds=time.perf_counter() - start)
-        # Feed the adaptive lifecycle engine; raw baselines (use_views=False)
-        # stay out of the log so A/B comparisons don't skew the mix.
-        if self.lifecycle is not None and use_views:
-            outcome.adaptation = self.lifecycle.observe(query, outcome)
+            result = PhysicalExecutor(target, max_work=max_work).execute(plan)
+        outcome = QueryOutcome(
+            query=query, result=result, used_view=used_view,
+            rewrite=rewrite if used_view is not None else None, plan=plan,
+            base_cost=base_cost, rewrite_cost=rewrite_cost,
+            considered_view=rewrite.candidate.definition.name if rewrite else None,
+            engine=engine, plan_cache_hit=cached,
+            executed_version=getattr(base, "version", None),
+            elapsed_seconds=time.perf_counter() - start)
         if self.metrics is not None:
             self.metrics.observe_query(outcome)
         return outcome
-
-    def _run(self, query: GraphQuery, target: GraphLike, engine: str,
-             max_work: int | None) -> tuple[ExecutionResult, LogicalPlan | None]:
-        """Run one query on one graph with the chosen engine."""
-        if engine == "interpreter":
-            result = QueryExecutor(target, max_work=max_work,
-                                   engine="interpreter").execute(query)
-            return result, None
-        plan = self.plan_for(query, target)
-        result = PhysicalExecutor(target, max_work=max_work).execute(plan)
-        return result, plan
 
     def execute_text(self, text: str, name: str = "", use_views: bool = True,
                      engine: str = "planner") -> QueryOutcome:
         """Parse and execute query text."""
         return self.execute(self.parse(text, name=name), use_views=use_views,
                             engine=engine)
-
-    def _target_graph(self, rewrite: RewrittenQuery, view: MaterializedView) -> GraphLike:
-        """Pick the graph the rewritten query should run against.
-
-        Summarizer rewrites run on the summarized graph.  Connector rewrites
-        run on the connector graph when every edge pattern uses the connector's
-        label; otherwise (mixed rewrites keeping a prefix/suffix of raw-graph
-        hops) they run on the union of the base graph and the connector edges,
-        which the storage manager caches across executions and rebuilds only
-        when either side mutated.  Whenever the query runs wholly on the view,
-        the view's read-optimized snapshot (if the storage manager attached
-        one) serves it.
-        """
-        definition = rewrite.candidate.definition
-        if isinstance(definition, SummarizerView):
-            return view.read_store()
-        labels = {edge.label for edge in rewrite.rewritten.edge_patterns()}
-        if labels <= {definition.output_label}:
-            return view.read_store()
-        return self.storage.union_for(self.graph, view,
-                                      name=f"{self.graph.name}+{definition.name}")
 
     # -------------------------------------------------------------- durability
     def _persistent_store(self, path, backend: str | None) -> PersistentViewStore:

@@ -46,6 +46,21 @@ class RewrittenQuery:
             return definition.output_label
         return definition.name
 
+    @property
+    def runs_on_view(self) -> bool:
+        """Whether the rewritten query runs wholly on the view's graph.
+
+        Summarizer rewrites always do.  A connector rewrite does when every
+        edge pattern uses the connector's output label; a *mixed* rewrite
+        keeps raw hops beside the connector edge, needs the base graph too,
+        and is therefore never executed.
+        """
+        definition = self.candidate.definition
+        if isinstance(definition, SummarizerView):
+            return True
+        return all(edge.label == definition.output_label
+                   for edge in self.rewritten.edge_patterns())
+
 
 @dataclass
 class _Chain:

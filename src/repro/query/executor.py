@@ -29,7 +29,7 @@ from repro.query.interpreter import BacktrackingInterpreter
 from repro.query.plan.logical import LogicalPlan
 from repro.query.plan.physical import PhysicalExecutor
 from repro.query.plan.planner import QueryPlanner
-from repro.query.projection import Binding, distinct_rows, finalize_rows
+from repro.query.projection import Binding, finalize_rows
 from repro.query.stats import ExecutionResult, ExecutionStats
 from repro.storage.base import GraphLike
 
@@ -96,11 +96,6 @@ class QueryExecutor:
         stats.bindings_produced = len(bindings)
         rows = finalize_rows(self.graph, query, bindings)
         return ExecutionResult(rows=rows, stats=stats)
-
-
-def _distinct_rows(rows):
-    """Backwards-compatible alias of :func:`repro.query.projection.distinct_rows`."""
-    return distinct_rows(rows)
 
 
 def execute_query(graph: GraphLike, query: GraphQuery,

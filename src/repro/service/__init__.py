@@ -5,13 +5,14 @@ snapshot-isolated reads over single-writer commits;
 :class:`AdmissionController` sheds load with budgets, bounded queueing, and
 token buckets; :class:`ServiceMetrics` exposes Prometheus-format telemetry;
 :class:`GraphService` ties them together behind HTTP via
-:class:`KaskadeHTTPServer` (stdlib asyncio) or :func:`create_fastapi_app`.
+:class:`KaskadeHTTPServer` (stdlib asyncio).
 Commits become crash-safe when a :class:`~repro.durability.DurabilityEngine`
 is threaded through (``GraphService.open_durable``), and
 :class:`KaskadeClient` gives callers retries, deadlines, and circuit
 breaking over the whole stack.
 """
 
+from repro.durability import MUTATION_OPS
 from repro.service.admission import (
     SHED_REASONS,
     AdmissionController,
@@ -36,7 +37,6 @@ from repro.service.metrics import (
     ServiceMetrics,
 )
 from repro.service.mvcc import (
-    MUTATION_OPS,
     CommitResult,
     Snapshot,
     SnapshotManager,
@@ -47,7 +47,6 @@ from repro.service.server import (
     KaskadeHTTPServer,
     Response,
     ServerHandle,
-    create_fastapi_app,
     serve_in_thread,
 )
 
@@ -78,6 +77,5 @@ __all__ = [
     "KaskadeHTTPServer",
     "Response",
     "ServerHandle",
-    "create_fastapi_app",
     "serve_in_thread",
 ]

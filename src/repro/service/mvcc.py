@@ -38,19 +38,12 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.kaskade import Kaskade, QueryOutcome
-from repro.durability.manager import MUTATION_OPS, DurabilityEngine, apply_op
+from repro.durability.manager import DurabilityEngine, apply_op
 from repro.errors import ServiceError, StaleSnapshotError
 from repro.query.ast import GraphQuery
-from repro.query.plan import PhysicalExecutor
 from repro.storage.base import GraphStore
 from repro.storage.csr import CSRGraphStore
-from repro.views.definitions import SummarizerView
 from repro.views.delta import RefreshReport
-
-# MUTATION_OPS is imported (and re-exported) from repro.durability.manager:
-# the op vocabulary and its interpreter live there so WAL replay and the
-# live commit path share one implementation.
-assert MUTATION_OPS  # re-export; keeps `from repro.service.mvcc import MUTATION_OPS` working
 
 
 @dataclass(frozen=True)
@@ -64,19 +57,9 @@ class SnapshotView:
     def name(self) -> str:
         return self.definition.name
 
-    def covers(self, rewritten: GraphQuery) -> bool:
-        """Whether the rewritten query runs *wholly* on this view's store.
-
-        Mirrors :meth:`Kaskade._target_graph`: summarizer rewrites always run
-        on the summarized graph; connector rewrites only when every edge
-        pattern uses the connector's output label.  Mixed rewrites would need
-        a base∪view union graph, which is not captured per snapshot — those
-        fall back to the base store.
-        """
-        if isinstance(self.definition, SummarizerView):
-            return True
-        labels = {edge.label for edge in rewritten.edge_patterns()}
-        return labels <= {getattr(self.definition, "output_label", None)}
+    def read_store(self) -> GraphStore:
+        """The captured store (the accessor ``MaterializedView`` also has)."""
+        return self.store
 
 
 @dataclass
@@ -92,6 +75,13 @@ class Snapshot:
     #: Set when the retention window moved past this snapshot while it was
     #: pinned; the last release() reclaims it instead of keeping it readable.
     retired: bool = False
+    #: ``views`` keyed by definition signature, the key rewrites match on
+    #: (an enumerated candidate's name can differ from the registered one).
+    by_signature: dict[tuple, SnapshotView] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.by_signature = {view.definition.signature(): view
+                             for view in self.views.values()}
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -265,7 +255,7 @@ class SnapshotManager:
 
         Args:
             ops: Mutation dicts, each with an ``"op"`` key from
-                :data:`MUTATION_OPS` — e.g.
+                :data:`~repro.durability.MUTATION_OPS` — e.g.
                 ``{"op": "add_edge", "source": "j1", "target": "f1",
                 "label": "WRITES_TO"}`` or
                 ``{"op": "add_vertex", "id": "j9", "type": "Job"}``.
@@ -392,44 +382,13 @@ class SnapshotManager:
     def execute_pinned(self, query: GraphQuery, snapshot: Snapshot, *,
                        max_work: int | None = None,
                        use_views: bool = True) -> QueryOutcome:
-        """Execute against an already-pinned snapshot (caller releases)."""
-        start = time.perf_counter()
-        kaskade = self.kaskade
-        cached = kaskade.plan_cached(query, snapshot.store)
-        kaskade._count_plan_cache(cached)
-        base_plan = kaskade.plan_for(query, snapshot.store)
-        base_cost = base_plan.estimated_cost
-        plan, target = base_plan, snapshot.store
-        used_view = None
-        rewrite = None
-        rewrite_cost: float | None = None
-        considered: str | None = None
-        if use_views and snapshot.views:
-            candidate = kaskade.rewrite(query)
-            if candidate is not None:
-                considered = candidate.candidate.definition.name
-                # Match by definition *signature* (the catalog's key): the
-                # enumerated candidate's name can differ from the name the
-                # view was registered under.
-                wanted = candidate.candidate.definition.signature()
-                captured = next((v for v in snapshot.views.values()
-                                 if v.definition.signature() == wanted), None)
-                if captured is not None and captured.covers(candidate.rewritten):
-                    rewrite_plan = kaskade.plan_for(candidate.rewritten, captured.store)
-                    rewrite_cost = rewrite_plan.estimated_cost
-                    if rewrite_cost <= base_cost:
-                        plan, target = rewrite_plan, captured.store
-                        used_view, rewrite = captured, candidate
-        result = PhysicalExecutor(target, max_work=max_work).execute(plan)
-        outcome = QueryOutcome(
-            query=query, result=result, used_view=used_view, rewrite=rewrite,
-            plan=plan, base_cost=base_cost, rewrite_cost=rewrite_cost,
-            considered_view=considered, engine="planner",
-            plan_cache_hit=cached, executed_version=snapshot.version,
-            elapsed_seconds=time.perf_counter() - start)
-        if kaskade.metrics is not None:
-            kaskade.metrics.observe_query(outcome)
-        return outcome
+        """Execute against an already-pinned snapshot (caller releases).
+
+        The same base-vs-view decision as embedded :meth:`Kaskade.execute`,
+        taken over the snapshot's frozen base store and captured view stores.
+        """
+        return self.kaskade.execute_on(query, snapshot.store, snapshot.by_signature,
+                                       use_views=use_views, max_work=max_work)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SnapshotManager(head={self._head.version}, "

@@ -11,10 +11,7 @@ Two layers:
 * :class:`KaskadeHTTPServer` is a stdlib-only ``asyncio`` HTTP/1.1 front end
   (no new hard dependency): the event loop parses requests and writes
   responses, while query/mutate work runs on a thread pool sized to the
-  admission policy so the loop never blocks on graph traversal.  An optional
-  FastAPI app factory (:func:`create_fastapi_app`) exposes the same service
-  when FastAPI happens to be installed — it is probed lazily and never
-  imported at module load.
+  admission policy so the loop never blocks on graph traversal.
 
 Endpoints::
 
@@ -492,67 +489,3 @@ def serve_in_thread(service: GraphService, host: str = "127.0.0.1",
     if not started.wait(timeout=10.0):
         raise ServiceError("server failed to start within 10s")
     return ServerHandle(server=server, thread=thread, loop=loop)
-
-
-def create_fastapi_app(service: GraphService):
-    """Optional FastAPI front end over the same :class:`GraphService`.
-
-    FastAPI is probed lazily — the stdlib server above is the default and
-    carries no dependency; this factory exists for deployments that already
-    run uvicorn/FastAPI and want the service mounted there.
-
-    Raises:
-        ServiceError: When FastAPI is not installed.
-    """
-    try:
-        from fastapi import FastAPI, Request
-        from fastapi.responses import JSONResponse, PlainTextResponse
-    except ImportError as exc:  # pragma: no cover - depends on environment
-        raise ServiceError(
-            "FastAPI is not installed; use KaskadeHTTPServer (stdlib) instead"
-        ) from exc
-
-    app = FastAPI(title="Kaskade graph service")
-
-    def _convert(response: Response):
-        if response.content_type.startswith("text/plain"):
-            return PlainTextResponse(str(response.body),
-                                     status_code=response.status,
-                                     headers=response.headers)
-        return JSONResponse(json.loads(response.encode()),
-                            status_code=response.status,
-                            headers=response.headers)
-
-    @app.post("/query")
-    async def query(request: Request):  # pragma: no cover - thin adapter
-        return _convert(service.handle_query(await request.json()))
-
-    @app.post("/mutate")
-    async def mutate(request: Request):  # pragma: no cover - thin adapter
-        return _convert(service.handle_mutate(await request.json()))
-
-    @app.get("/views")
-    async def views():  # pragma: no cover - thin adapter
-        return _convert(service.handle_views())
-
-    @app.get("/snapshots")
-    async def snapshots():  # pragma: no cover - thin adapter
-        return _convert(service.handle_snapshots())
-
-    @app.get("/metrics")
-    async def metrics():  # pragma: no cover - thin adapter
-        return _convert(service.handle("GET", "/metrics", None))
-
-    @app.get("/health")
-    async def health():  # pragma: no cover - thin adapter
-        return _convert(service.handle("GET", "/health", None))
-
-    @app.get("/health/live")
-    async def health_live():  # pragma: no cover - thin adapter
-        return _convert(service.handle("GET", "/health/live", None))
-
-    @app.get("/health/ready")
-    async def health_ready():  # pragma: no cover - thin adapter
-        return _convert(service.handle("GET", "/health/ready", None))
-
-    return app

@@ -13,7 +13,10 @@ codebase should not have to make:
 * **View freezing** — materialized views are read-mostly by construction
   (they are rebuilt or incrementally maintained, never queried mid-mutation),
   so the manager freezes them eagerly when the
-  :class:`~repro.views.catalog.ViewCatalog` reports a new materialization.
+  :class:`~repro.views.catalog.ViewCatalog` reports a new materialization,
+  re-freezes them after delta maintenance, and releases the snapshot when a
+  view is dropped.  Every rewrite runs wholly on one such store; there is
+  no base ∪ view graph.
 * **Durability** — the manager optionally owns a
   :class:`~repro.storage.persistent.PersistentViewStore` so catalogs can be
   snapshotted to disk and reloaded across process restarts.
@@ -28,7 +31,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.graph.property_graph import PropertyGraph
-from repro.graph.transform import union
 from repro.storage.base import GraphLike, GraphStore
 from repro.storage.csr import CSRGraphStore
 from repro.storage.persistent import PersistentViewStore
@@ -68,8 +70,6 @@ class StorageStats:
     views_frozen: int = 0
     views_refrozen: int = 0
     views_dropped: int = 0
-    unions_built: int = 0
-    union_hits: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -79,8 +79,6 @@ class StorageStats:
             "views_frozen": self.views_frozen,
             "views_refrozen": self.views_refrozen,
             "views_dropped": self.views_dropped,
-            "unions_built": self.unions_built,
-            "union_hits": self.union_hits,
         }
 
 
@@ -92,28 +90,6 @@ class _GraphState:
     observed_version: int = -1
     reads_since_change: int = 0
     snapshot: CSRGraphStore | None = None
-
-
-@dataclass
-class _UnionEntry:
-    """A cached base ∪ view-edges graph, valid for one (base, view) version pair.
-
-    Strong references to the inputs are held on purpose: they make the
-    identity checks in :meth:`StorageManager.union_for` reliable (a live
-    reference can never have its ``id()`` recycled by a newer object) at the
-    cost of keeping at most :data:`_MAX_UNION_ENTRIES` graphs alive.
-    """
-
-    graph: PropertyGraph
-    base: PropertyGraph
-    base_version: int
-    view: object  # MaterializedView (typed loosely to avoid an import cycle)
-    view_graph: PropertyGraph
-    view_version: int
-
-
-#: Mixed-rewrite union graphs retained at once (small: each is a full copy).
-_MAX_UNION_ENTRIES = 8
 
 
 # Every manager's freeze() publishes its snapshot here, so independent
@@ -207,7 +183,6 @@ class StorageManager:
         if persist_path is not None:
             self.persistent = PersistentViewStore(persist_path, backend=persist_backend)
         self._states: dict[int, _GraphState] = {}
-        self._unions: dict[tuple[int, int], _UnionEntry] = {}
 
     # -------------------------------------------------------- backend selection
     def store_for(self, graph: GraphLike, workload: str = "auto") -> GraphLike:
@@ -325,39 +300,6 @@ class StorageManager:
             _states.pop(_key, None)
         return _reap
 
-    # ----------------------------------------------------------- union graphs
-    def union_for(self, base: PropertyGraph, view: "MaterializedView",
-                  name: str | None = None) -> PropertyGraph:
-        """The base ∪ view-edges graph mixed connector rewrites run against.
-
-        Building the union copies every vertex and edge, which used to happen
-        on *every* mixed-rewrite execution; the manager caches it per
-        (base graph, view) pair and rebuilds only when either side's
-        ``version`` moved (or the view's graph was swapped by
-        re-materialization).  The cache is bounded to
-        :data:`_MAX_UNION_ENTRIES` entries, oldest evicted first.
-        """
-        key = (id(base), id(view))
-        view_graph = view.graph
-        entry = self._unions.get(key)
-        if (entry is not None
-                and entry.base is base and entry.view is view
-                and entry.view_graph is view_graph
-                and entry.base_version == base.version
-                and entry.view_version == view_graph.version):
-            self.stats.union_hits += 1
-            return entry.graph
-        combined = union(base, view_graph,
-                         name=name or f"{base.name}+{view.definition.name}")
-        if key not in self._unions and len(self._unions) >= _MAX_UNION_ENTRIES:
-            self._unions.pop(next(iter(self._unions)))
-        self._unions[key] = _UnionEntry(graph=combined, base=base,
-                                        base_version=base.version, view=view,
-                                        view_graph=view_graph,
-                                        view_version=view_graph.version)
-        self.stats.unions_built += 1
-        return combined
-
     # ------------------------------------------------------------ view hooks
     def on_materialized(self, view: "MaterializedView") -> None:
         """Catalog hook: a view was (re)materialized or registered.
@@ -376,22 +318,18 @@ class StorageManager:
         """Catalog hook: a view was dropped/evicted — release every artifact.
 
         The view's CSR snapshot is detached and retracted from the shared
-        registry, per-graph freeze bookkeeping is forgotten, cached union
-        graphs built over the view are discarded, and — when a persistent
-        store is attached — the view's on-disk record is deleted so a later
-        catalog restore cannot resurrect it.
+        registry, per-graph freeze bookkeeping is forgotten, and — when a
+        persistent store is attached — the view's on-disk record is deleted
+        so a later catalog restore cannot resurrect it.
         """
         view.store = None
         self.invalidate(view.graph)
         self._states.pop(id(view.graph), None)
-        self._unions = {key: entry for key, entry in self._unions.items()
-                        if entry.view is not view}
         if self.persistent is not None:
             self.persistent.delete_view(view.definition)
         self.stats.views_dropped += 1
 
-    def on_maintained(self, view: "MaterializedView",
-                      base_graph: PropertyGraph | None = None) -> None:
+    def on_maintained(self, view: "MaterializedView") -> None:
         """Maintenance hook: a view's graph was updated (in place or rebuilt).
 
         Instead of letting the stale CSR snapshot be dropped and hot reads
@@ -399,8 +337,7 @@ class StorageManager:
         ``MaterializedView.read_store``), the snapshot is re-frozen at the
         view's new version so rewritten queries stay on the read-optimized
         path.  Views that shrank below the freeze floor fall back to the dict
-        graph.  ``base_graph`` is accepted for symmetry with the maintenance
-        subsystem; union-cache entries self-invalidate via version checks.
+        graph.
         """
         if not self.policy.freeze_views:
             return

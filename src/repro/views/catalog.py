@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro.errors import ViewError, ViewNotMaterializedError
 from repro.graph.property_graph import PropertyGraph
@@ -89,6 +90,9 @@ class ViewCatalog:
 
     def __init__(self, storage: "StorageManager | None" = None) -> None:
         self._views: dict[tuple, MaterializedView] = {}
+        #: Live read-only view of the catalog keyed by definition signature —
+        #: the mapping :meth:`Kaskade.rewrite` matches candidates against.
+        self.by_signature: Mapping[tuple, MaterializedView] = MappingProxyType(self._views)
         self.storage = storage
 
     # ------------------------------------------------------------------ manage
@@ -123,9 +127,8 @@ class ViewCatalog:
 
         Dropping is *complete*: the attached storage manager (when present)
         is notified so the view's CSR snapshot leaves both the manager and
-        the cross-manager registry, cached union graphs over the view are
-        discarded, and its persisted artifact is deleted — a later
-        ``restore_views`` can never resurrect an evicted view.
+        the cross-manager registry and its persisted artifact is deleted — a
+        later ``restore_views`` can never resurrect an evicted view.
 
         Raises:
             ViewNotMaterializedError: If the view is not in the catalog.

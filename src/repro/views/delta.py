@@ -127,8 +127,7 @@ class MaintenanceManager:
             graph: The base graph every catalog view is defined over.
             catalog: Views to keep fresh.
             storage: When given, refreshed views get their read-optimized
-                snapshots re-frozen (and the manager's union cache for this
-                graph invalidated) after every refresh.
+                snapshots re-frozen after every refresh.
             log_capacity: Bound on the mutation log; deltas evicted past this
                 bound force re-materialization instead of incremental replay.
             max_paths: Cap forwarded to connector re-materialization.
@@ -169,7 +168,7 @@ class MaintenanceManager:
             refresh.seconds = time.perf_counter() - view_start
             report.views.append(refresh)
             if refresh.strategy != "fresh" and self.storage is not None:
-                self.storage.on_maintained(view, base_graph=self.graph)
+                self.storage.on_maintained(view)
         report.elapsed_seconds = time.perf_counter() - start
         return report
 

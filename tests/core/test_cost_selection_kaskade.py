@@ -174,6 +174,13 @@ class TestKaskadeFacade:
         if optimized.used_view is not None and "2hop" in optimized.used_view_name:
             assert optimized.result.stats.total_work < raw.result.stats.total_work
 
+    def test_view_served_outcome_reports_base_version(self, graph, workload):
+        kaskade = Kaskade(graph)
+        kaskade.materialize_view(job_to_job_connector())
+        outcome = kaskade.execute(workload[0])
+        assert outcome.used_view is not None
+        assert outcome.executed_version == kaskade.graph.version
+
     def test_rewrite_returns_none_without_materialized_views(self, graph, workload):
         kaskade = Kaskade(graph)
         assert kaskade.rewrite(workload[0]) is None

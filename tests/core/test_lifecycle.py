@@ -215,10 +215,9 @@ class TestLifecycleEngine:
         served = kaskade.execute(query)
         assert served.used_view is not None
         view_graph_name = served.used_view.graph.name
-        assert any(key[0] == view_graph_name for key in kaskade._cost_models) or \
-            any(key[1] == view_graph_name for key in kaskade._saved_plans)
+        assert any(key[0] == view_graph_name for key in kaskade._planners)
+        assert any(key[1] == view_graph_name for key in kaskade._saved_plans)
         kaskade.evict_view(served.used_view.definition)
-        assert not any(key[0] == view_graph_name for key in kaskade._cost_models)
         assert not any(key[0] == view_graph_name for key in kaskade._planners)
         assert not any(key[1] == view_graph_name for key in kaskade._saved_plans)
         # Execution falls back to the base graph and stays correct.

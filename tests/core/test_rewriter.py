@@ -127,6 +127,19 @@ class TestConnectorRewrites:
         # f1/f2 are not projected, so the fragment is rewritable; hop bounds 0..4
         # include length 0 which a connector cannot represent -> refused.
 
+    def test_runs_on_view_only_when_every_edge_is_the_connector(self, rewriter,
+                                                                blast_radius):
+        full = rewriter.rewrite(blast_radius, make_candidate(job_to_job_connector()))
+        assert full.runs_on_view
+        # Mixed: a raw WRITES_TO hop stays beside the connector edge.
+        query = parse_query(
+            "MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job)"
+            "-[:WRITES_TO]->(h:File) RETURN a, b, h", name="mixed")
+        mixed = rewriter.rewrite(query, make_candidate(job_to_job_connector(), source="a",
+                                                       target="b", query_name="mixed"))
+        assert mixed is not None
+        assert not mixed.runs_on_view
+
     def test_applicable_filters_invalid_candidates(self, rewriter, blast_radius):
         candidates = [
             make_candidate(job_to_job_connector(2)),
@@ -145,6 +158,7 @@ class TestSummarizerRewrites:
         assert rewrite is not None
         assert rewrite.rewritten.match == blast_radius.match
         assert rewrite.view_label == candidate.definition.name
+        assert rewrite.runs_on_view
 
     def test_summarizer_rewrite_refused_when_types_missing(self, rewriter, blast_radius):
         candidate = make_candidate(keep_types_summarizer(["Job"]), source=None, target=None)

@@ -1,12 +1,16 @@
 """SnapshotManager: pin/release, single-writer commits, reclamation, views."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import Kaskade
 from repro.datasets.provenance import provenance_graph
 from repro.errors import ServiceError, StaleSnapshotError
-from repro.service.mvcc import MUTATION_OPS, SnapshotManager
-from repro.views.definitions import job_to_job_connector
+from repro.durability import MUTATION_OPS
+from repro.service.mvcc import SnapshotManager
+from repro.views.definitions import job_to_job_connector, keep_types_summarizer
+from repro.workloads.queries import workload_for_dataset
 
 #: The paper's blast-radius query (Listing 4 shape): rewritable onto a 2-hop
 #: job-to-job connector, and expensive enough on the base graph that the
@@ -241,3 +245,67 @@ class TestViewsInSnapshots:
         snapshot = manager.refresh_head()
         assert snapshot.version > before
         assert manager.head_version() == snapshot.version
+
+
+#: A connector rewrite of this query is *mixed*: the trailing raw WRITES_TO
+#: hop stays beside the connector edge, so it cannot run wholly on the view.
+MIXED = ("MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job)"
+         "-[:WRITES_TO]->(h:File) RETURN a, b, h")
+
+#: The benchmark's query shapes (Listing 1, two-hop with WHERE, one-hop), the
+#: Table IV Cypher queries, and the mixed query.
+PARITY_QUERIES = {
+    "blast_radius": BLAST_RADIUS,
+    "two_hop_where": ("MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job) "
+                      "WHERE a.cpu > 50 RETURN a, b"),
+    "one_hop": "MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j, f",
+    **{query.query_id: query.cypher
+       for query in workload_for_dataset("prov") if query.cypher},
+    "mixed": MIXED,
+}
+
+PARITY_GRAPHS = {
+    "lineage": TestViewsInSnapshots._lineage_graph,
+    "provenance": lambda: provenance_graph(num_jobs=60, seed=3),
+}
+
+#: Every view kind the catalog serves rewrites from.
+PARITY_VIEWS = {
+    "k_hop": job_to_job_connector(k=2, name="j2j"),
+    "keep_file_job": keep_types_summarizer(["File", "Job"]),
+    "keep_job": keep_types_summarizer(["Job"]),
+}
+
+
+def _decision(outcome):
+    rows = Counter(tuple(sorted(row.items())) for row in outcome.result.rows)
+    return (outcome.used_view_name, outcome.base_cost, outcome.rewrite_cost,
+            outcome.executed_version, outcome.result.stats.total_work, rows)
+
+
+class TestServedEmbeddedParity:
+    """Served and embedded queries take one base-vs-view decision."""
+
+    @pytest.mark.parametrize("query_id", sorted(PARITY_QUERIES))
+    @pytest.mark.parametrize("view_id", sorted(PARITY_VIEWS))
+    @pytest.mark.parametrize("graph_id", sorted(PARITY_GRAPHS))
+    def test_served_equals_embedded_at_head(self, graph_id, view_id, query_id):
+        kaskade = Kaskade(PARITY_GRAPHS[graph_id]())
+        kaskade.materialize_view(PARITY_VIEWS[view_id])
+        manager = SnapshotManager(kaskade)
+        query = kaskade.parse(PARITY_QUERIES[query_id], name=query_id)
+        embedded = kaskade.execute(query)
+        served = manager.execute(query)
+        assert served.executed_version == manager.head_version()
+        assert _decision(served) == _decision(embedded)
+
+    def test_mixed_rewrite_declined_on_both_paths(self):
+        kaskade = Kaskade(provenance_graph(num_jobs=60, seed=3))
+        kaskade.materialize_view(job_to_job_connector(2))
+        manager = SnapshotManager(kaskade)
+        query = kaskade.parse(MIXED)
+        base = kaskade.execute(query, use_views=False)
+        for outcome in (kaskade.execute(query), manager.execute(query)):
+            assert outcome.used_view is None
+            assert outcome.rewrite_cost is None
+            assert len(outcome.result.rows) == len(base.result.rows) == 680

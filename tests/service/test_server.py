@@ -188,18 +188,6 @@ class TestHTTPServer:
         handle.stop()
 
 
-class TestFastAPIFactory:
-    def test_raises_service_error_without_fastapi(self, service):
-        from repro.service.server import create_fastapi_app
-        try:
-            import fastapi  # noqa: F401
-            pytest.skip("FastAPI installed; factory would succeed")
-        except ImportError:
-            pass
-        with pytest.raises(ServiceError, match="FastAPI is not installed"):
-            create_fastapi_app(service)
-
-
 class TestKaskadeMetricsIntegration:
     def test_direct_execute_feeds_service_metrics(self, service):
         kaskade: Kaskade = service.kaskade

@@ -221,18 +221,6 @@ class TestDropHook:
         assert manager.cached_snapshot(view_graph) is None
         assert manager.stats.views_dropped == 1
 
-    def test_on_dropped_discards_union_entries(self):
-        manager = StorageManager()
-        catalog = ViewCatalog(storage=manager)
-        graph = summarized_provenance_graph(num_jobs=40, seed=7)
-        view = catalog.materialize(graph, job_to_job_connector())
-        manager.union_for(graph, view)
-        assert manager.stats.unions_built == 1
-        catalog.drop(view.definition)
-        rebuilt = manager.union_for(graph, view)
-        assert rebuilt is not None
-        assert manager.stats.unions_built == 2  # cache entry was discarded
-
     def test_on_dropped_deletes_persisted_record(self, tmp_path):
         manager = StorageManager(persist_path=tmp_path / "views.jsonl")
         catalog = ViewCatalog(storage=manager)
@@ -258,52 +246,6 @@ class TestDropHook:
         assert len(catalog) == 0
         assert manager.persistent.view_names() == []
         assert manager.stats.views_dropped == 2
-
-
-class TestUnionCache:
-    def _setup(self):
-        manager = StorageManager()
-        catalog = ViewCatalog(storage=manager)
-        graph = summarized_provenance_graph(num_jobs=40, seed=7)
-        view = catalog.materialize(graph, job_to_job_connector())
-        return manager, graph, view
-
-    def test_union_cached_until_either_side_mutates(self):
-        manager, graph, view = self._setup()
-        first = manager.union_for(graph, view)
-        assert manager.union_for(graph, view) is first
-        assert manager.stats.unions_built == 1
-        assert manager.stats.union_hits == 1
-        # Base-graph mutation invalidates.
-        jobs = graph.vertex_ids("Job")
-        files = graph.vertex_ids("File")
-        graph.add_edge(jobs[0], files[0], "WRITES_TO")
-        second = manager.union_for(graph, view)
-        assert second is not first
-        assert manager.stats.unions_built == 2
-        # View-graph mutation invalidates too.
-        view.graph.add_edge(jobs[0], jobs[1], view.definition.output_label)
-        third = manager.union_for(graph, view)
-        assert third is not second
-        assert manager.stats.unions_built == 3
-
-    def test_union_contains_both_edge_sets(self):
-        manager, graph, view = self._setup()
-        combined = manager.union_for(graph, view)
-        assert combined.num_edges == graph.num_edges + view.graph.num_edges
-
-    def test_union_cache_bounded(self):
-        from repro.storage.manager import _MAX_UNION_ENTRIES
-
-        manager = StorageManager()
-        catalog = ViewCatalog(storage=manager)
-        graph = summarized_provenance_graph(num_jobs=30, seed=7)
-        for index in range(_MAX_UNION_ENTRIES + 3):
-            view = catalog.materialize(graph, job_to_job_connector(
-                k=2, name=f"conn{index}"))
-            catalog.drop(view.definition)
-            manager.union_for(graph, view)
-        assert len(manager._unions) == _MAX_UNION_ENTRIES
 
 
 class TestSnapshotRegistryThreadSafety:
