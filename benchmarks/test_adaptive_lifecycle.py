@@ -19,7 +19,7 @@ import os
 from repro.bench.figures import BLAST_RADIUS_CYPHER, dataset
 from repro.core import Kaskade, ViewCostModel
 from repro.query import parse_query
-from repro.storage.manager import StorageManager, StoragePolicy, lookup_snapshot
+from repro.storage.manager import lookup_snapshot
 from repro.workloads import run_adaptive_workload
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
@@ -97,12 +97,10 @@ def test_adaptive_lifecycle_beats_frozen_selection(benchmark):
 
 def test_calibration_converges_and_eviction_is_complete(tmp_path):
     """Companion pins: calibrated estimates move toward observed values, and
-    an evicted view is gone from catalog, persistent store, and the
-    cross-manager snapshot registry."""
+    an evicted view is gone from the catalog, the shared snapshot registry,
+    and any later checkpoint."""
     graph = dataset("prov-summarized", "tiny").build()
-    storage = StorageManager(policy=StoragePolicy(min_edges_to_freeze=16),
-                             persist_path=tmp_path / "views.db")
-    kaskade = Kaskade(graph, storage=storage)
+    kaskade = Kaskade(graph)
     kaskade.enable_adaptive(budget_edges=10 * graph.num_edges, adapt_every=10_000)
     query = kaskade.parse(BLAST_RADIUS_CYPHER, name="job_blast")
 
@@ -123,22 +121,19 @@ def test_calibration_converges_and_eviction_is_complete(tmp_path):
     assert abs(calibrated_size - actual_size) < abs(uncalibrated_size - actual_size)
 
     # --- eviction completeness.
-    kaskade.persist_views()
-    assert view.definition.name in storage.persistent.view_names()
     view_graph = view.graph
     assert lookup_snapshot(view_graph) is not None, "view should be frozen"
 
     kaskade.evict_view(view.definition)
     assert not kaskade.catalog.contains(view.definition)
-    assert view.definition.name not in storage.persistent.view_names()
     assert lookup_snapshot(view_graph) is None
-    assert view.store is None
-    assert storage.cached_snapshot(view_graph) is None
+    assert view.read_store() is view_graph
 
-    # A restore can never resurrect the evicted view, and the rewriter never
-    # consults it.
-    restored = Kaskade(graph, storage=storage)
-    restored.restore_views()
+    # A restore from a checkpoint taken after the eviction can never
+    # resurrect the evicted view, and the rewriter never consults it.
+    kaskade.persist_views(tmp_path / "views.jsonl")
+    restored = Kaskade(graph)
+    restored.restore_views(tmp_path / "views.jsonl")
     assert not restored.catalog.contains(view.definition)
     rewrite = restored.rewrite(query)
     assert rewrite is None or rewrite.candidate.definition.signature() != \

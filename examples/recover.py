@@ -20,9 +20,10 @@ Run with::
 
     python examples/recover.py
 
-Environment knobs (see README "Durability & recovery"): ``WAL_SEGMENT_BYTES``
-(segment rollover), ``WAL_FSYNC`` (disable real fsyncs — benchmarks only),
-``CHAOS_SEED`` (seeds the fault injector; the CI torture matrix sweeps it).
+WAL segment rollover and real fsyncs are ``GraphService.open_durable``
+arguments (``segment_bytes=``, ``fsync=``; see README "Durability &
+recovery").  Environment knob: ``CHAOS_SEED`` (seeds the fault injector; the
+CI torture matrix sweeps it).
 """
 
 from __future__ import annotations

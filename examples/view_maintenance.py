@@ -4,8 +4,8 @@ Production lineage graphs change constantly (new jobs write new files every
 minute), so a materialized job-to-job connector must stay consistent without
 being rebuilt from scratch.  This example materializes a 2-hop connector,
 streams edge insertions into the base graph, keeps the view up to date with
-:class:`~repro.views.ConnectorMaintainer`, and verifies that the maintained
-view always equals a from-scratch re-materialization.  Afterwards the
+:class:`~repro.views.maintenance.ConnectorMaintainer`, and verifies that the
+maintained view always equals a from-scratch re-materialization.  Afterwards the
 maintained view is frozen to a read-optimized CSR snapshot, persisted to
 disk, and reloaded — showing that view maintenance, the storage manager, and
 durable catalogs compose.
@@ -22,8 +22,9 @@ import tempfile
 from pathlib import Path
 
 from repro.datasets import summarized_provenance_graph
-from repro.storage import PersistentViewStore, StorageManager, StoragePolicy
-from repro.views import ConnectorMaintainer, ViewCatalog, job_to_job_connector
+from repro.storage import PersistentViewStore, StorageManager
+from repro.views import ViewCatalog, job_to_job_connector
+from repro.views.maintenance import ConnectorMaintainer
 
 
 def view_edge_set(graph):
@@ -35,7 +36,7 @@ def main() -> None:
     graph = summarized_provenance_graph(num_jobs=80, seed=11)
     print(f"base graph: {graph.num_vertices} vertices, {graph.num_edges} edges")
 
-    storage = StorageManager(StoragePolicy(min_edges_to_freeze=1))
+    storage = StorageManager()
     catalog = ViewCatalog(storage=storage)
     view = catalog.materialize(graph, job_to_job_connector())
     maintainer = ConnectorMaintainer(graph, view)
@@ -71,23 +72,24 @@ def main() -> None:
     print(f"incremental maintenance added {added_view_edges} edges and matches "
           "a from-scratch rebuild ✔")
 
-    # Maintenance mutated the view graph, so any CSR snapshot taken before is
-    # stale; read_store() detects that and re-freezing yields a fresh one.
-    refrozen = storage.freeze(view.graph)
-    view.store = refrozen
-    assert view.read_store() is refrozen
+    # Maintenance mutated the view graph, so the CSR snapshot taken before is
+    # stale: read_store() serves the dict graph until the view is re-frozen.
+    assert view.read_store() is view.graph
+    storage.on_maintained(view)
+    refrozen = view.read_store()
+    assert refrozen.source_version == view.graph.version
     print(f"re-frozen maintained view: {refrozen.num_edges} edges on the "
           f"{refrozen.backend!r} backend")
 
     # Persist the maintained catalog and reload it, as a restarted process would.
     with tempfile.TemporaryDirectory() as tmp_dir:
-        store_path = Path(tmp_dir) / "views.db"  # .db suffix selects SQLite
+        store_path = Path(tmp_dir) / "views.jsonl"
         persistent = PersistentViewStore(store_path)
         persistent.save_catalog(catalog)
         reloaded = persistent.load_catalog()
         reloaded_view = reloaded.get(view.definition)
         assert view_edge_set(reloaded_view.graph) == maintained_edges
-        print(f"persisted the catalog to {store_path.name} (sqlite) and reloaded "
+        print(f"persisted the catalog to {store_path.name} and reloaded "
               f"{len(reloaded)} view(s) with identical edges ✔")
 
 

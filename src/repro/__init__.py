@@ -9,7 +9,7 @@ The package is organized as:
 * :mod:`repro.graph` — property-graph substrate (the Neo4j-storage role),
 * :mod:`repro.storage` — pluggable physical storage: the abstract
   ``GraphStore`` interface, read-optimized CSR snapshots, persistent
-  materialized-view storage, and the backend-selecting ``StorageManager``,
+  materialized-view storage, and the ``StorageManager`` freeze rule,
 * :mod:`repro.inference` — Prolog-like inference engine (the SWI-Prolog role),
 * :mod:`repro.query` — Cypher-like query language, executor, and cost model,
 * :mod:`repro.views` — connector/summarizer views, catalog, and maintenance,
@@ -42,7 +42,6 @@ from repro.storage import (
     GraphStore,
     PersistentViewStore,
     StorageManager,
-    StoragePolicy,
 )
 
 __version__ = "1.1.0"
@@ -55,6 +54,5 @@ __all__ = [
     "PersistentViewStore",
     "QueryOutcome",
     "StorageManager",
-    "StoragePolicy",
     "__version__",
 ]

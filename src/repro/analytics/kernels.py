@@ -81,10 +81,10 @@ AUTO_FREEZE_MIN_EDGES = 4096
 #: to ``1`` — the escape hatch for debugging and differential benchmarking.
 FORCE_REFERENCE_ENV = "ANALYTICS_FORCE_REFERENCE"
 
-#: Shared manager backing the auto-freeze dispatch; snapshots are cached per
-#: (graph identity, version) and reaped when the source graph is collected.
-#: Created lazily: ``storage.manager`` transitively imports the view layer,
-#: which imports this module (for the connector path kernel).
+#: Shared manager backing the auto-freeze dispatch; its builds land in the
+#: shared snapshot registry like every other manager's.  Created lazily:
+#: ``storage.manager`` transitively imports the view layer, which imports
+#: this module (for the connector path kernel).
 _manager: "StorageManager | None" = None
 
 
@@ -172,13 +172,6 @@ def _note_dispatch(path: str) -> None:
         _dispatch_subscribers[:] = alive
 
 
-def _published_snapshot(graph: PropertyGraph) -> CSRGraphStore | None:
-    """A fresh snapshot any StorageManager already built for ``graph``."""
-    from repro.storage.manager import lookup_snapshot
-
-    return lookup_snapshot(graph)
-
-
 def _dispatch_base(graph: GraphLike
                    ) -> tuple[PropertyGraph | None, CSRGraphStore | None]:
     """Shared dispatch prefix: ``(freezable base graph, ready CSR store)``.
@@ -196,7 +189,9 @@ def _dispatch_base(graph: GraphLike
     base = underlying_graph(graph)
     if base is None:
         return None, None
-    return base, _published_snapshot(base)
+    from repro.storage.manager import lookup_snapshot
+
+    return base, lookup_snapshot(base)
 
 
 def resolve_store(graph: GraphLike) -> CSRGraphStore | None:
@@ -270,11 +265,6 @@ def engine_for(graph: GraphLike) -> str:
     if base is None:
         return "reference"
     return "kernel" if base.num_edges >= AUTO_FREEZE_MIN_EDGES else "reference"
-
-
-def freeze_for_analytics(graph: PropertyGraph) -> CSRGraphStore:
-    """Explicitly freeze a dict graph via the shared dispatch manager."""
-    return _shared_manager().freeze(graph)
 
 
 # ------------------------------------------------------------ cached contexts

@@ -167,9 +167,8 @@ class Kaskade:
             knapsack_method: Solver used for view selection.
             materialization_max_paths: Optional cap on paths contracted per
                 connector view (protects dense homogeneous graphs).
-            storage: Storage manager owning backend selection (freeze-to-CSR
-                for read-mostly graphs and views, optional view persistence);
-                a default-policy manager is created when omitted.
+            storage: Storage manager deciding when the base graph and the
+                views are frozen to CSR; a fresh one is created when omitted.
             auto_refresh: When true, every :meth:`execute` call that may use
                 views first runs delta maintenance so rewrites never read a
                 stale view; when false (default) the caller decides when to
@@ -243,16 +242,12 @@ class Kaskade:
 
     # --------------------------------------------------------------- analytics
     def analytics_store(self) -> GraphLike:
-        """The representation analytics (Q1–Q8) should run against.
-
-        Served through this instance's :class:`StorageManager` with a
-        read-mostly hint, so a large enough base graph comes back as its
-        cached CSR snapshot — which routes every :mod:`repro.analytics`
-        function onto the index-space kernels
-        (:mod:`repro.analytics.kernels`) instead of the per-vertex dict
-        reference path.  Small graphs come back unchanged.
+        """The representation analytics (Q1–Q8) should run against: the base
+        graph's CSR snapshot, which routes every :mod:`repro.analytics`
+        function onto the index-space kernels (:mod:`repro.analytics.kernels`)
+        instead of the per-vertex dict reference path.
         """
-        return self.storage.store_for(self.graph, workload="read_mostly")
+        return self.storage.freeze(self.graph)
 
     # ------------------------------------------------------------- enumeration
     def enumerate_views(self, query: GraphQuery) -> EnumerationResult:
@@ -297,11 +292,10 @@ class Kaskade:
         """Completely evict a materialized view.
 
         Beyond :meth:`ViewCatalog.drop` (which already releases the CSR
-        snapshot and the persisted artifact through the storage manager),
-        the planner/plan caches keyed by the view graph's name are purged: a
-        later re-materialization under the same name starts a fresh version
-        counter, so stale per-version entries could otherwise serve outdated
-        statistics.
+        snapshot through the storage manager), the planner/plan caches keyed
+        by the view graph's name are purged: a later re-materialization under
+        the same name starts a fresh version counter, so stale per-version
+        entries could otherwise serve outdated statistics.
         """
         view = self.catalog.drop(definition)
         graph_name = getattr(view.graph, "name", None)
@@ -575,41 +569,30 @@ class Kaskade:
                             engine=engine)
 
     # -------------------------------------------------------------- durability
-    def _persistent_store(self, path, backend: str | None) -> PersistentViewStore:
-        """Resolve the persistent store: an explicit path wins, otherwise the
-        storage manager's attached store (``StorageManager(persist_path=...)``)."""
-        if path is not None:
-            return PersistentViewStore(path, backend=backend)
-        if self.storage.persistent is not None:
-            return self.storage.persistent
-        raise ViewError(
-            "no persistence target: pass a path, or create the Kaskade instance "
-            "with storage=StorageManager(persist_path=...)")
-
-    def persist_views(self, path=None, backend: str | None = None) -> PersistentViewStore:
-        """Snapshot the current view catalog to disk; returns the store used.
+    def persist_views(self, path) -> PersistentViewStore:
+        """Snapshot the current view catalog to ``path``; returns the store used.
 
         When the adaptive lifecycle engine is enabled, its advisor state
         (workload log + cost calibration) is checkpointed alongside the
         views, so a restarted process resumes selection from the same
         evidence.
         """
-        store = self._persistent_store(path, backend)
+        store = PersistentViewStore(path)
         store.save_catalog(self.catalog)
         if self.lifecycle is not None:
             self.lifecycle.checkpoint(store)
         return store
 
-    def restore_views(self, path=None, backend: str | None = None) -> int:
-        """Reload previously persisted views into the catalog.
+    def restore_views(self, path) -> int:
+        """Reload the views persisted at ``path`` into the catalog.
 
         Returns the number of views restored.  Restored views flow through
-        :meth:`ViewCatalog.register`, so the storage manager freezes eligible
-        ones just like fresh materializations.  When the adaptive lifecycle
-        engine is enabled, any checkpointed advisor state is restored too
-        (enable the engine *before* restoring).
+        :meth:`ViewCatalog.register`, so the storage manager freezes them just
+        like fresh materializations.  When the adaptive lifecycle engine is
+        enabled, any checkpointed advisor state is restored too (enable the
+        engine *before* restoring).
         """
-        store = self._persistent_store(path, backend)
+        store = PersistentViewStore(path)
         views = store.load_views()
         for view in views:
             self.catalog.register(view)

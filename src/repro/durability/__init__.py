@@ -19,8 +19,6 @@ from repro.durability.manager import (
 )
 from repro.durability.wal import (
     DEFAULT_SEGMENT_BYTES,
-    WAL_FSYNC_ENV,
-    WAL_SEGMENT_BYTES_ENV,
     WriteAheadLog,
     encode_record,
 )
@@ -32,8 +30,6 @@ __all__ = [
     "DurabilityEngine",
     "MUTATION_OPS",
     "RecoveryResult",
-    "WAL_FSYNC_ENV",
-    "WAL_SEGMENT_BYTES_ENV",
     "WriteAheadLog",
     "apply_op",
     "encode_record",

@@ -97,7 +97,7 @@ class CheckpointManager:
         checkpoint_id = self._next_id()
         path = self.directory / f"checkpoint-{checkpoint_id:08d}-v{version}"
         path.mkdir(parents=True, exist_ok=True)
-        store = PersistentViewStore(path / "views.jsonl", backend="jsonl")
+        store = PersistentViewStore(path / "views.jsonl")
         catalog_stub = _CatalogStub(views)
         store.save_catalog(catalog_stub)
         store.save_state(GRAPH_STATE_KEY, graph_to_dict(graph, include_ids=True))
@@ -200,7 +200,7 @@ class CheckpointManager:
         if info is None:
             raise DurabilityError(
                 f"no valid checkpoint under {str(self.directory)!r}")
-        store = PersistentViewStore(info.path / "views.jsonl", backend="jsonl")
+        store = PersistentViewStore(info.path / "views.jsonl")
         payload = store.load_state(GRAPH_STATE_KEY)
         if payload is None:
             raise DurabilityError(

@@ -32,7 +32,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.kaskade import Kaskade
 from repro.durability.checkpoint import CheckpointInfo, CheckpointManager
-from repro.durability.wal import WriteAheadLog
+from repro.durability.wal import DEFAULT_SEGMENT_BYTES, WriteAheadLog
 from repro.errors import RecoveryError, ServiceError
 from repro.testing.faults import FaultInjector
 
@@ -122,8 +122,8 @@ class DurabilityEngine:
     """
 
     def __init__(self, root: str | Path, *,
-                 segment_bytes: int | None = None,
-                 fsync: bool | None = None,
+                 segment_bytes: int = DEFAULT_SEGMENT_BYTES,
+                 fsync: bool = True,
                  checkpoint_every: int = 64,
                  keep_checkpoints: int = 2,
                  faults: FaultInjector | None = None,
@@ -132,10 +132,9 @@ class DurabilityEngine:
 
         Args:
             root: Directory owning the WAL and checkpoint subtrees.
-            segment_bytes: WAL segment rollover threshold (``WAL_SEGMENT_BYTES``
-                env default).
-            fsync: Whether WAL syncs really hit the disk (``WAL_FSYNC`` env
-                default).
+            segment_bytes: WAL segment rollover threshold in bytes.
+            fsync: Whether WAL syncs really hit the disk (False is for
+                benchmarks only).
             checkpoint_every: Commits between automatic checkpoints; the
                 checkpoint is taken at the *start* of the next commit.
             keep_checkpoints: Validated checkpoints retained after pruning.

@@ -11,10 +11,10 @@ On-disk format (one directory, segments named ``wal-<seq>.log``):
 
 * each record is framed as ``struct '<II'`` — payload length, then CRC-32 of
   the payload — followed by the UTF-8 JSON payload;
-* a segment rolls over once it would exceed ``segment_bytes``
-  (:data:`WAL_SEGMENT_BYTES_ENV`, default 1 MiB); the outgoing segment is
-  fsynced *before* the next one opens, so a commit split across a rollover
-  can never lose its batch while keeping its marker;
+* a segment rolls over once it would exceed ``segment_bytes`` (default
+  1 MiB); the outgoing segment is fsynced *before* the next one opens, so a
+  commit split across a rollover can never lose its batch while keeping its
+  marker;
 * replay tolerates a torn or checksum-failing record at the **tail** of the
   final segment (the expected signature of a crash mid-append) but raises
   :class:`~repro.errors.WALCorruptionError` for a bad record that is
@@ -42,32 +42,13 @@ from typing import Any, Callable, Iterator
 from repro.errors import DurabilityError, WALCorruptionError
 from repro.testing.faults import FaultInjector, InjectedCrash
 
-#: Environment knob: segment rollover threshold in bytes.
-WAL_SEGMENT_BYTES_ENV = "WAL_SEGMENT_BYTES"
-
-#: Environment knob: ``0``/``false``/``off`` disables fsync (benchmarks only;
-#: flushed bytes are then *treated* as durable by the power-loss simulator).
-WAL_FSYNC_ENV = "WAL_FSYNC"
-
 #: Default segment rollover threshold.
 DEFAULT_SEGMENT_BYTES = 1 << 20
 
+#: Smallest accepted segment rollover threshold.
+_MIN_SEGMENT_BYTES = 64
+
 _HEADER = struct.Struct("<II")
-
-_FALSEY = {"0", "false", "no", "off"}
-
-
-def _env_segment_bytes() -> int:
-    raw = os.environ.get(WAL_SEGMENT_BYTES_ENV, "")
-    try:
-        value = int(raw) if raw else DEFAULT_SEGMENT_BYTES
-    except ValueError:
-        return DEFAULT_SEGMENT_BYTES
-    return max(64, value)
-
-
-def _env_fsync() -> bool:
-    return os.environ.get(WAL_FSYNC_ENV, "1").strip().lower() not in _FALSEY
 
 
 def encode_record(record: dict[str, Any]) -> bytes:
@@ -91,8 +72,8 @@ class WriteAheadLog:
     """
 
     def __init__(self, directory: str | Path, *,
-                 segment_bytes: int | None = None,
-                 fsync: bool | None = None,
+                 segment_bytes: int = DEFAULT_SEGMENT_BYTES,
+                 fsync: bool = True,
                  faults: FaultInjector | None = None,
                  fsync_observer: Callable[[float], None] | None = None) -> None:
         """Open (or create) a WAL in ``directory``.
@@ -101,20 +82,25 @@ class WriteAheadLog:
             directory: Segment directory; created if absent.  Appends resume
                 in a **new** segment after any existing ones — a possibly
                 torn tail segment is never extended.
-            segment_bytes: Rollover threshold; default from
-                :data:`WAL_SEGMENT_BYTES_ENV` else 1 MiB.
-            fsync: Whether :meth:`sync` really calls ``os.fsync``; default
-                from :data:`WAL_FSYNC_ENV` else True.
+            segment_bytes: Rollover threshold in bytes (at least 64).
+            fsync: Whether :meth:`sync` really calls ``os.fsync``.  False is
+                for benchmarks only: flushed bytes are then *treated* as
+                durable by the power-loss simulator.
             faults: Optional injector for the ``wal.append`` / ``wal.fsync``
                 fault points.
             fsync_observer: Called with each fsync's duration in seconds
                 (feeds the WAL fsync-latency histogram).
+
+        Raises:
+            ValueError: ``segment_bytes`` is below 64.
         """
+        if segment_bytes < _MIN_SEGMENT_BYTES:
+            raise ValueError(f"segment_bytes must be at least {_MIN_SEGMENT_BYTES}, "
+                             f"got {segment_bytes}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.segment_bytes = (_env_segment_bytes() if segment_bytes is None
-                              else max(64, segment_bytes))
-        self.fsync_enabled = _env_fsync() if fsync is None else fsync
+        self.segment_bytes = segment_bytes
+        self.fsync_enabled = fsync
         self.faults = faults
         self.fsync_observer = fsync_observer
         self.records_appended = 0
@@ -285,7 +271,7 @@ class WriteAheadLog:
 
         This is the torture harness's power cut: each segment is truncated
         back to its last durable watermark (with fsync disabled the flush
-        watermark stands in — see :data:`WAL_FSYNC_ENV`).  The instance is
+        watermark stands in — see the ``fsync`` argument).  The instance is
         unusable afterwards; recovery opens a fresh :class:`WriteAheadLog`
         over the same directory.
         """

@@ -308,11 +308,8 @@ class SnapshotManager:
         store = self.kaskade.storage.freeze(graph)
         views: dict[str, SnapshotView] = {}
         for view in self.kaskade.catalog:
-            frozen = view.store
-            if frozen is None or getattr(frozen, "source_version", None) != view.graph.version:
-                frozen = self.kaskade.storage.freeze(view.graph)
             views[view.definition.name] = SnapshotView(definition=view.definition,
-                                                       store=frozen)
+                                                       store=view.read_store())
         return Snapshot(version=graph.version, store=store, views=views)
 
     def _publish(self) -> Snapshot:

@@ -43,6 +43,7 @@ from typing import Any, Mapping
 
 from repro.core.kaskade import Kaskade
 from repro.durability.manager import DurabilityEngine
+from repro.durability.wal import DEFAULT_SEGMENT_BYTES
 from repro.errors import (
     AdmissionError,
     KaskadeError,
@@ -55,6 +56,7 @@ from repro.graph.property_graph import PropertyGraph
 from repro.service.admission import AdmissionController, AdmissionPolicy
 from repro.service.metrics import ServiceMetrics
 from repro.service.mvcc import SnapshotManager
+from repro.storage.csr import CSRGraphStore
 from repro.testing.faults import FaultInjector, InjectedCrash
 
 logger = logging.getLogger("repro.service")
@@ -129,8 +131,8 @@ class GraphService:
                      metrics: ServiceMetrics | None = None,
                      faults: FaultInjector | None = None,
                      checkpoint_every: int = 64,
-                     segment_bytes: int | None = None,
-                     fsync: bool | None = None) -> "GraphService":
+                     segment_bytes: int = DEFAULT_SEGMENT_BYTES,
+                     fsync: bool = True) -> "GraphService":
         """Open a crash-safe service rooted at ``root``.
 
         First start: checkpoints ``graph`` (an empty graph by default) as the
@@ -306,7 +308,11 @@ class GraphService:
 
     def handle_views(self) -> Response:
         views = []
-        head = self.snapshots.head_version()
+        with self.snapshots.pinned() as snapshot:
+            head = snapshot.version
+            # "frozen": the head snapshot serves the view from a CSR store.
+            frozen = {name for name, view in snapshot.views.items()
+                      if isinstance(view.store, CSRGraphStore)}
         for view in self.kaskade.catalog:
             views.append({
                 "name": view.definition.name,
@@ -315,7 +321,7 @@ class GraphService:
                 "edges": view.num_edges,
                 "base_version": view.base_version,
                 "fresh": view.base_version == head,
-                "frozen": view.store is not None,
+                "frozen": view.definition.name in frozen,
             })
         return Response(200, {"views": views, "head_version": head})
 

@@ -11,11 +11,11 @@ representation *pluggable*:
 * :mod:`repro.storage.csr` — :class:`CSRGraphStore`, an immutable
   compressed-sparse-row snapshot with O(1) degrees and contiguous neighbor
   expansion for analytics and executor hot paths,
-* :mod:`repro.storage.persistent` — :class:`PersistentViewStore`, JSONL- or
-  SQLite-backed durability for materialized view catalogs,
-* :mod:`repro.storage.manager` — :class:`StorageManager`, which owns backend
-  selection (freeze-to-CSR when a graph or view is read-mostly) and the
-  optional persistence wiring.
+* :mod:`repro.storage.persistent` — :class:`PersistentViewStore`, JSONL
+  durability for materialized view catalogs,
+* :mod:`repro.storage.manager` — the one CSR snapshot cache (a registry keyed
+  by live graph and version) and :class:`StorageManager`, which owns the
+  only freeze and decides when a graph or view is frozen.
 
 Once callers go through :class:`GraphStore`, new backends (sharded, cached,
 remote) are drop-in.
@@ -29,25 +29,17 @@ from repro.storage.base import (
     underlying_graph,
 )
 from repro.storage.csr import CSRGraphStore
-from repro.storage.manager import (
-    StorageManager,
-    StoragePolicy,
-    StorageStats,
-    WORKLOAD_HINTS,
-)
-from repro.storage.persistent import BACKENDS, PersistentViewStore
+from repro.storage.manager import StorageManager, StorageStats
+from repro.storage.persistent import PersistentViewStore
 
 __all__ = [
-    "BACKENDS",
     "CSRGraphStore",
     "GraphLike",
     "GraphStore",
     "PersistentViewStore",
     "PropertyGraphStore",
     "StorageManager",
-    "StoragePolicy",
     "StorageStats",
-    "WORKLOAD_HINTS",
     "ensure_store",
     "underlying_graph",
 ]

@@ -8,27 +8,18 @@ catalog — each view's definition, materialized graph, and measured creation
 cost — to disk and reloads it, so a catalog survives process restarts and
 large view sets can spill out of memory.
 
-Two interchangeable backends are provided:
-
-* ``jsonl`` — one JSON record per view per line; human-inspectable, diffable,
-  and trivially streamable.
-* ``sqlite`` — a single-table SQLite database keyed by view signature;
-  supports per-view upsert/delete without rewriting the whole file.
-
-The backend is inferred from the path suffix (``.db`` / ``.sqlite`` /
-``.sqlite3`` select SQLite, anything else JSONL) unless given explicitly.
+The format is JSONL: one JSON record per view per line, keyed by definition
+signature — human-inspectable, diffable, and trivially streamable.  Every
+write is an atomic whole-file rewrite (sibling temp file, then rename).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sqlite3
-from contextlib import closing
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.errors import ViewError
 from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.views.catalog import MaterializedView, ViewCatalog
 from repro.views.definitions import (
@@ -37,15 +28,9 @@ from repro.views.definitions import (
     definition_to_dict,
 )
 
-#: Path suffixes that select the SQLite backend when none is given.
-_SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
-
-#: Supported backend names.
-BACKENDS = ("jsonl", "sqlite")
-
 
 def _signature_key(definition: ViewDefinition) -> str:
-    """Stable string form of a definition signature (usable as a DB key)."""
+    """Stable string form of a definition signature (the record key)."""
     return json.dumps(definition.signature(), default=str)
 
 
@@ -76,20 +61,12 @@ class PersistentViewStore:
         >>> restored = store.load_catalog()                  # doctest: +SKIP
     """
 
-    def __init__(self, path: str | Path, backend: str | None = None) -> None:
+    def __init__(self, path: str | Path) -> None:
         """Open (or create) a persistent store at ``path``.
 
-        Args:
-            path: Target file.  Parent directories are created on first write.
-            backend: ``"jsonl"`` or ``"sqlite"``; inferred from the path
-                suffix when omitted.
+        Parent directories are created on first write.
         """
         self.path = Path(path)
-        if backend is None:
-            backend = "sqlite" if self.path.suffix.lower() in _SQLITE_SUFFIXES else "jsonl"
-        if backend not in BACKENDS:
-            raise ViewError(f"unknown persistence backend {backend!r}; expected one of {BACKENDS}")
-        self.backend = backend
 
     # ----------------------------------------------------------- catalog level
     def save_catalog(self, catalog: ViewCatalog) -> int:
@@ -118,14 +95,6 @@ class PersistentViewStore:
         """Insert or replace a single view (keyed by definition signature)."""
         key = _signature_key(view.definition)
         record = _view_to_record(view)
-        if self.backend == "sqlite":
-            with closing(self._connect()) as conn, conn:
-                conn.execute(
-                    "INSERT OR REPLACE INTO views (signature, name, payload) "
-                    "VALUES (?, ?, ?)",
-                    (key, view.definition.name, json.dumps(record)),
-                )
-            return
         records = dict(self._read_all())
         records[key] = record
         self._write_all(records)
@@ -133,10 +102,6 @@ class PersistentViewStore:
     def delete_view(self, definition: ViewDefinition) -> bool:
         """Remove one stored view; returns whether it was present."""
         key = _signature_key(definition)
-        if self.backend == "sqlite":
-            with closing(self._connect()) as conn, conn:
-                cursor = conn.execute("DELETE FROM views WHERE signature = ?", (key,))
-                return cursor.rowcount > 0
         records = dict(self._read_all())
         if key not in records:
             return False
@@ -158,37 +123,16 @@ class PersistentViewStore:
         same evidence it had before the restart.  ``clear()``/``save_catalog``
         do not touch state blobs.
         """
-        serialized = json.dumps(payload)
-        if self.backend == "sqlite":
-            with closing(self._connect()) as conn, conn:
-                conn.execute(
-                    "INSERT OR REPLACE INTO state (key, payload) VALUES (?, ?)",
-                    (key, serialized),
-                )
-            return
         states = self._read_states()
         states[key] = payload
         self._write_states(states)
 
     def load_state(self, key: str) -> dict[str, Any] | None:
         """The state blob stored under ``key``, or None when absent."""
-        if self.backend == "sqlite":
-            if not self.path.exists():
-                return None
-            with closing(self._connect()) as conn, conn:
-                row = conn.execute(
-                    "SELECT payload FROM state WHERE key = ?", (key,)).fetchone()
-            return json.loads(row[0]) if row is not None else None
         return self._read_states().get(key)
 
     def delete_state(self, key: str) -> bool:
         """Remove one state blob; returns whether it was present."""
-        if self.backend == "sqlite":
-            if not self.path.exists():
-                return False
-            with closing(self._connect()) as conn, conn:
-                cursor = conn.execute("DELETE FROM state WHERE key = ?", (key,))
-                return cursor.rowcount > 0
         states = self._read_states()
         if key not in states:
             return False
@@ -198,12 +142,6 @@ class PersistentViewStore:
 
     def state_keys(self) -> list[str]:
         """Keys of every stored state blob."""
-        if self.backend == "sqlite":
-            if not self.path.exists():
-                return []
-            with closing(self._connect()) as conn, conn:
-                return [row[0] for row in conn.execute(
-                    "SELECT key FROM state ORDER BY key")]
         return sorted(self._read_states())
 
     def _state_path(self) -> Path:
@@ -227,36 +165,16 @@ class PersistentViewStore:
     # -------------------------------------------------------------- inspection
     def view_names(self) -> list[str]:
         """Names of the stored views (without loading the graphs)."""
-        if self.backend == "sqlite":
-            if not self.path.exists():
-                return []
-            with closing(self._connect()) as conn, conn:
-                return [row[0] for row in conn.execute(
-                    "SELECT name FROM views ORDER BY rowid")]
         return [record["definition"]["name"] for _, record in self._read_all()]
 
     def __len__(self) -> int:
-        if self.backend == "sqlite":
-            if not self.path.exists():
-                return 0
-            with closing(self._connect()) as conn, conn:
-                return conn.execute("SELECT COUNT(*) FROM views").fetchone()[0]
         return sum(1 for _ in self._read_all())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PersistentViewStore(path={str(self.path)!r}, backend={self.backend!r})"
+        return f"PersistentViewStore(path={str(self.path)!r})"
 
-    # ------------------------------------------------------------ jsonl plumbing
+    # ------------------------------------------------------------------ plumbing
     def _read_all(self) -> Iterator[tuple[str, dict[str, Any]]]:
-        if self.backend == "sqlite":
-            if not self.path.exists():
-                return
-            with closing(self._connect()) as conn, conn:
-                rows = conn.execute(
-                    "SELECT signature, payload FROM views ORDER BY rowid").fetchall()
-            for signature, payload in rows:
-                yield signature, json.loads(payload)
-            return
         if not self.path.exists():
             return
         with self.path.open("r", encoding="utf-8") as handle:
@@ -272,17 +190,6 @@ class PersistentViewStore:
 
     def _write_all(self, records: dict[str, dict[str, Any]]) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.backend == "sqlite":
-            with closing(self._connect()) as conn, conn:
-                conn.execute("DELETE FROM views")
-                conn.executemany(
-                    "INSERT INTO views (signature, name, payload) VALUES (?, ?, ?)",
-                    [
-                        (key, record["definition"]["name"], json.dumps(record))
-                        for key, record in records.items()
-                    ],
-                )
-            return
         # Atomic whole-file rewrite: write a sibling temp file, then rename.
         tmp_path = self.path.with_name(self.path.name + ".tmp")
         with tmp_path.open("w", encoding="utf-8") as handle:
@@ -290,17 +197,3 @@ class PersistentViewStore:
                 payload = {"signature": key, **record}
                 handle.write(json.dumps(payload) + "\n")
         os.replace(tmp_path, self.path)
-
-    # ----------------------------------------------------------- sqlite plumbing
-    def _connect(self) -> sqlite3.Connection:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(self.path)
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS views ("
-            "signature TEXT PRIMARY KEY, name TEXT NOT NULL, payload TEXT NOT NULL)"
-        )
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS state ("
-            "key TEXT PRIMARY KEY, payload TEXT NOT NULL)"
-        )
-        return conn

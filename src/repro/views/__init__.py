@@ -3,10 +3,8 @@
 Connectors contract paths between target vertices into single edges;
 summarizers filter or aggregate vertices and edges (§III-C, §VI).  The
 :class:`ViewCatalog` tracks materialized views for use in view-based query
-rewriting; :class:`ConnectorMaintainer` keeps a single connector view
-consistent under base-graph updates, and :class:`MaintenanceManager` consumes
-batched deltas from the graph's change-capture log to keep *every* catalog
-view fresh (§VIII [23]).
+rewriting; :class:`MaintenanceManager` consumes batched deltas from the
+graph's change-capture log to keep *every* catalog view fresh (§VIII [23]).
 """
 
 from repro.views.definitions import (
@@ -30,14 +28,11 @@ from repro.views.connectors import (
 from repro.views.summarizers import materialize_summarizer, summarizer_reduction
 from repro.views.catalog import MaterializedView, ViewCatalog
 from repro.views.delta import MaintenanceManager, RefreshReport, ViewRefresh
-from repro.views.maintenance import ConnectorMaintainer, MaintenanceReport
 
 __all__ = [
     "CONNECTOR_KINDS",
-    "ConnectorMaintainer",
     "ConnectorView",
     "MaintenanceManager",
-    "MaintenanceReport",
     "MaterializedView",
     "RefreshReport",
     "ViewRefresh",

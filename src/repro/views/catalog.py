@@ -21,7 +21,7 @@ from repro.views.definitions import ConnectorView, SummarizerView, ViewDefinitio
 from repro.views.summarizers import materialize_summarizer
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a storage <-> views import cycle
-    from repro.storage.base import GraphLike, GraphStore
+    from repro.storage.base import GraphLike
     from repro.storage.manager import StorageManager
 
 
@@ -32,9 +32,6 @@ class MaterializedView:
     definition: ViewDefinition
     graph: PropertyGraph
     creation_seconds: float = 0.0
-    #: Optional read-optimized snapshot (e.g. CSR) attached by a
-    #: :class:`~repro.storage.manager.StorageManager`.
-    store: "GraphStore | None" = None
     #: Base-graph ``version`` this view is consistent with, or None when
     #: unknown (externally registered / restored views).  Maintained by
     #: :meth:`ViewCatalog.materialize` and the delta-maintenance subsystem
@@ -59,19 +56,13 @@ class MaterializedView:
         return self.graph.estimated_footprint()
 
     def read_store(self) -> "GraphLike":
-        """The representation hot read paths should use.
+        """The representation hot read paths should use: the view graph's
+        fresh CSR snapshot in the shared cache, else the graph itself.  Never
+        builds one."""
+        from repro.storage.manager import lookup_snapshot
 
-        Returns the attached read-optimized snapshot when it is still in sync
-        with the view graph; a stale snapshot (the view graph was mutated,
-        e.g. by incremental maintenance) is dropped and the mutable graph is
-        served instead.
-        """
-        store = self.store
-        if store is not None:
-            if getattr(store, "source_version", None) == self.graph.version:
-                return store
-            self.store = None
-        return self.graph
+        snapshot = lookup_snapshot(self.graph)
+        return self.graph if snapshot is None else snapshot
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -85,7 +76,7 @@ class ViewCatalog:
 
     When a :class:`~repro.storage.manager.StorageManager` is attached, the
     catalog notifies it of every (re)materialization and registration so that
-    eligible view graphs are frozen into read-optimized snapshots.
+    view graphs are frozen into read-optimized snapshots.
     """
 
     def __init__(self, storage: "StorageManager | None" = None) -> None:
@@ -125,10 +116,8 @@ class ViewCatalog:
     def drop(self, definition: ViewDefinition) -> MaterializedView:
         """Remove a view from the catalog; returns the dropped view.
 
-        Dropping is *complete*: the attached storage manager (when present)
-        is notified so the view's CSR snapshot leaves both the manager and
-        the cross-manager registry and its persisted artifact is deleted — a
-        later ``restore_views`` can never resurrect an evicted view.
+        The attached storage manager (when present) is notified so the
+        view's CSR snapshot leaves the shared snapshot cache.
 
         Raises:
             ViewNotMaterializedError: If the view is not in the catalog.

@@ -37,23 +37,28 @@ def materialize_connector(graph: PropertyGraph, view: ConnectorView,
     Raises:
         ViewError: If the view kind is not a connector kind.
     """
-    kind = view.connector_kind
-    if kind in ("k_hop", "k_hop_same_vertex_type"):
-        paths = _k_hop_paths(graph, view, max_paths)
-    elif kind == "same_vertex_type":
-        paths = _same_type_paths(graph, view, max_paths)
-    elif kind == "same_edge_type":
-        paths = _same_edge_type_paths(graph, view, max_paths)
-    elif kind == "source_to_sink":
-        paths = _source_to_sink_paths(graph, view, max_paths)
-    else:  # pragma: no cover - guarded by ConnectorView validation
-        raise ViewError(f"unsupported connector kind {kind!r}")
-    connector = contract_paths(graph, paths, view.output_label,
-                               name=f"{graph.name}|{view.name}")
-    return connector
+    paths = _connector_paths(graph, view, max_paths)
+    return contract_paths(graph, paths, view.output_label,
+                          name=f"{graph.name}|{view.name}")
 
 
 # ----------------------------------------------------------------- path logic
+def _connector_paths(graph: PropertyGraph, view: ConnectorView,
+                     max_paths: int | None) -> list[tuple[VertexId, ...]]:
+    """The paths ``view`` contracts, enumerated by its connector kind."""
+    kind = view.connector_kind
+    if kind in ("k_hop", "k_hop_same_vertex_type"):
+        return _k_hop_paths(graph, view, max_paths)
+    if kind == "same_vertex_type":
+        return _same_type_paths(graph, view, max_paths)
+    if kind == "same_edge_type":
+        return _same_edge_type_paths(graph, view, max_paths)
+    if kind == "source_to_sink":
+        return _source_to_sink_paths(graph, view, max_paths)
+    # Unreachable: ConnectorView validates its kind.
+    raise ViewError(f"unsupported connector kind {kind!r}")  # pragma: no cover
+
+
 def _type_predicate(vertex_type: str | None) -> Callable[[Vertex], bool] | None:
     if vertex_type is None:
         return None
@@ -186,24 +191,11 @@ def count_connector_edges(graph: PropertyGraph, view: ConnectorView,
     The count deduplicates by (source, target) endpoint pair, matching the
     ``deduplicate=True`` materialization in :func:`materialize_connector`.
     """
-    if view.connector_kind in ("k_hop", "k_hop_same_vertex_type"):
-        paths = _k_hop_paths(graph, view, max_paths)
-    elif view.connector_kind == "same_vertex_type":
-        paths = _same_type_paths(graph, view, max_paths)
-    elif view.connector_kind == "same_edge_type":
-        paths = _same_edge_type_paths(graph, view, max_paths)
-    else:
-        paths = _source_to_sink_paths(graph, view, max_paths)
+    paths = _connector_paths(graph, view, max_paths)
     return len({(p[0], p[-1]) for p in paths})
 
 
 def count_connector_paths(graph: PropertyGraph, view: ConnectorView,
                           max_paths: int | None = None) -> int:
     """Number of *paths* the connector contracts (before endpoint deduplication)."""
-    if view.connector_kind in ("k_hop", "k_hop_same_vertex_type"):
-        return len(_k_hop_paths(graph, view, max_paths))
-    if view.connector_kind == "same_vertex_type":
-        return len(_same_type_paths(graph, view, max_paths))
-    if view.connector_kind == "same_edge_type":
-        return len(_same_edge_type_paths(graph, view, max_paths))
-    return len(_source_to_sink_paths(graph, view, max_paths))
+    return len(_connector_paths(graph, view, max_paths))

@@ -333,7 +333,6 @@ class MaintenanceManager:
             raise TypeError(f"cannot rematerialize view of type {type(definition)!r}")
         view.graph = fresh
         view.creation_seconds = time.perf_counter() - start
-        view.store = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

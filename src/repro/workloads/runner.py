@@ -98,7 +98,7 @@ class PreparedDataset:
     connector_graph: PropertyGraph
     base_mode: str  # "filter" for heterogeneous, "raw" for homogeneous
     connector_definition: ConnectorView
-    #: Storage manager that owns backend selection for the run (None keeps
+    #: Storage manager that freezes both sides for the run (None keeps
     #: every query on the dict graphs, the pre-storage-subsystem behaviour).
     storage: StorageManager | None = None
     #: Catalog holding the materialized connector (drives delta maintenance
@@ -126,7 +126,7 @@ class PreparedDataset:
             graph = self.base_graph
         if self.storage is None:
             return graph
-        return self.storage.store_for(graph, workload="read_mostly")
+        return self.storage.freeze(graph)
 
 
 #: Types kept by the schema-level summarizer per heterogeneous dataset (§VII-B).

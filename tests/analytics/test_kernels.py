@@ -256,7 +256,7 @@ def test_zero_hops_never_validates_anchors():
             == [])
 
 
-def test_invalidate_retracts_published_snapshot():
+def test_invalidate_retracts_registry_snapshot():
     from repro.storage.manager import StorageManager, lookup_snapshot
 
     graph = summarized_provenance_graph(num_jobs=40, seed=2)
@@ -270,6 +270,18 @@ def test_invalidate_retracts_published_snapshot():
     manager.freeze(graph)
     graph.add_vertex("fresh", "Job")
     assert lookup_snapshot(graph) is None
+
+
+def test_dispatch_adopts_any_managers_snapshot_regardless_of_size():
+    from repro.storage.manager import StorageManager
+
+    graph = summarized_provenance_graph(num_jobs=20, seed=2)
+    assert graph.num_edges < kernels.AUTO_FREEZE_MIN_EDGES
+    assert kernels.resolve_store(graph) is None
+    snapshot = StorageManager().freeze(graph)
+    assert kernels.resolve_store(graph) is snapshot
+    assert kernels.resolve_store_for_paths(graph, 2) is snapshot
+    assert kernels.engine_for(graph) == "kernel"
 
 
 def test_bulk_counts_unknown_anchor_raises_like_reference():
@@ -365,7 +377,7 @@ def test_connector_materialization_matches_reference(monkeypatch, view):
         graph, view, max_paths=max(reference_paths // 2, 1)) == capped
 
 
-def test_path_dispatch_prefers_cached_snapshot(monkeypatch):
+def test_path_dispatch_prefers_registry_snapshot(monkeypatch):
     """A fresh cached snapshot is reused without paying a freeze."""
     graph = summarized_provenance_graph(num_jobs=60, seed=13)
     monkeypatch.setattr(kernels, "AUTO_FREEZE_MIN_EDGES", 1)

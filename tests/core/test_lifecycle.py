@@ -7,7 +7,8 @@ from repro.core.lifecycle import CostCalibration
 from repro.datasets.provenance import summarized_provenance_graph
 from repro.errors import ViewError
 from repro.query import parse_query
-from repro.storage.manager import StorageManager, StoragePolicy, lookup_snapshot
+from repro.storage.persistent import PersistentViewStore
+from repro.storage.manager import lookup_snapshot
 
 BLAST_RADIUS = (
     "MATCH (q_j1:Job)-[:WRITES_TO]->(q_f1:File), "
@@ -234,22 +235,20 @@ class TestAdvisorStatePersistence:
     def test_restored_engine_reselects_identically(self, graph, tmp_path):
         """Round-trip the advisor state; re-selection must be deterministic
         and equal the pre-restart decision."""
-        storage = StorageManager(persist_path=tmp_path / "views.db")
-        kaskade = Kaskade(graph, storage=storage)
+        kaskade = Kaskade(graph)
         engine = kaskade.enable_adaptive(budget_edges=10 * graph.num_edges,
                                          adapt_every=1000)
         blast = parse_query(BLAST_RADIUS, name="blast")
         fanout = parse_query(FILE_FANOUT, name="fanout")
         self._serve(kaskade, [blast, blast, blast, fanout])
         before = engine.adapt()
-        kaskade.persist_views()
+        kaskade.persist_views(tmp_path / "views.jsonl")
 
         # "Restart": fresh Kaskade on the same graph, restore views + state.
-        resumed = Kaskade(graph, storage=StorageManager(
-            persist_path=tmp_path / "views.db"))
+        resumed = Kaskade(graph)
         resumed_engine = resumed.enable_adaptive(
             budget_edges=10 * graph.num_edges, adapt_every=1000)
-        resumed.restore_views()
+        resumed.restore_views(tmp_path / "views.jsonl")
         assert resumed_engine.log.weights() == engine.log.weights()
         after = resumed_engine.adapt()
 
@@ -278,34 +277,27 @@ class TestAdvisorStatePersistence:
             kaskade.cost_model.query_cost(query)
 
     def test_restore_without_state_is_noop(self, graph, tmp_path):
-        storage = StorageManager(persist_path=tmp_path / "views.jsonl")
-        kaskade = Kaskade(graph, storage=storage)
+        kaskade = Kaskade(graph)
         engine = kaskade.enable_adaptive(budget_edges=1000)
-        assert engine.restore(storage.persistent) is False
+        assert engine.restore(PersistentViewStore(tmp_path / "views.jsonl")) is False
 
 
 class TestEvictionCompleteness:
     def test_drop_releases_all_artifacts(self, graph, tmp_path):
-        storage = StorageManager(policy=StoragePolicy(min_edges_to_freeze=8),
-                                 persist_path=tmp_path / "views.db")
-        kaskade = Kaskade(graph, storage=storage)
+        kaskade = Kaskade(graph)
         query = parse_query(BLAST_RADIUS, name="blast")
         kaskade.select_views([query], budget_edges=10 * graph.num_edges)
-        kaskade.persist_views()
         view = next(v for v in kaskade.catalog if "2hop" in v.definition.name)
         view_graph = view.graph
-        assert view.store is not None
         assert lookup_snapshot(view_graph) is not None
 
         kaskade.evict_view(view.definition)
         assert not kaskade.catalog.contains(view.definition)
-        assert view.store is None
         assert lookup_snapshot(view_graph) is None
-        assert storage.cached_snapshot(view_graph) is None
-        assert view.definition.name not in storage.persistent.view_names()
+        assert view.read_store() is view_graph
 
-        # restore_views cannot resurrect it.
-        resumed = Kaskade(graph, storage=StorageManager(
-            persist_path=tmp_path / "views.db"))
-        resumed.restore_views()
+        # A checkpoint taken after the eviction cannot resurrect it.
+        kaskade.persist_views(tmp_path / "views.jsonl")
+        resumed = Kaskade(graph)
+        resumed.restore_views(tmp_path / "views.jsonl")
         assert not resumed.catalog.contains(view.definition)

@@ -6,8 +6,6 @@ import pytest
 
 from repro.durability.wal import (
     DEFAULT_SEGMENT_BYTES,
-    WAL_FSYNC_ENV,
-    WAL_SEGMENT_BYTES_ENV,
     WriteAheadLog,
     encode_record,
 )
@@ -170,19 +168,33 @@ class TestFaultsAndKnobs:
         assert len(durations) == 2 and all(d >= 0 for d in durations)
         assert wal.syncs == 2
 
-    def test_env_knobs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(WAL_SEGMENT_BYTES_ENV, "4096")
-        monkeypatch.setenv(WAL_FSYNC_ENV, "off")
+    def test_constructor_knobs(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
+        assert wal.segment_bytes == DEFAULT_SEGMENT_BYTES == 1 << 20
+        assert wal.fsync_enabled is True
+        wal = WriteAheadLog(tmp_path, segment_bytes=4096, fsync=False)
         assert wal.segment_bytes == 4096
         assert wal.fsync_enabled is False
-        monkeypatch.setenv(WAL_SEGMENT_BYTES_ENV, "1")  # clamped to floor
-        assert WriteAheadLog(tmp_path).segment_bytes == 64
-        monkeypatch.setenv(WAL_SEGMENT_BYTES_ENV, "junk")
-        monkeypatch.setenv(WAL_FSYNC_ENV, "1")
-        wal = WriteAheadLog(tmp_path)
-        assert wal.segment_bytes == DEFAULT_SEGMENT_BYTES
-        assert wal.fsync_enabled is True
+        assert WriteAheadLog(tmp_path, segment_bytes=64).segment_bytes == 64
+        with pytest.raises(ValueError):
+            WriteAheadLog(tmp_path, segment_bytes=63)
+
+    def test_engine_and_service_pass_knobs_to_the_wal(self, tmp_path):
+        from repro.durability import DurabilityEngine
+        from repro.service.server import GraphService
+
+        engine = DurabilityEngine(tmp_path / "engine")
+        assert engine.wal.segment_bytes == DEFAULT_SEGMENT_BYTES
+        assert engine.wal.fsync_enabled is True
+        engine = DurabilityEngine(tmp_path / "tuned", segment_bytes=256,
+                                  fsync=False)
+        assert (engine.wal.segment_bytes, engine.wal.fsync_enabled) == (256, False)
+        service = GraphService.open_durable(tmp_path / "svc", segment_bytes=512,
+                                            fsync=False)
+        assert service.durability.wal.segment_bytes == 512
+        assert service.durability.wal.fsync_enabled is False
+        with pytest.raises(ValueError):
+            DurabilityEngine(tmp_path / "bad", segment_bytes=8)
 
     def test_reset_deletes_segments(self, tmp_path):
         wal = WriteAheadLog(tmp_path)

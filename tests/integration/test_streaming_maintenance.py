@@ -50,9 +50,9 @@ class TestStreamingWorkload:
         assert result.final_view_consistent is True
         view = prepared.view
         store = prepared.graph_for("connector")
-        if view.store is not None:  # large enough for the freeze policy
-            assert getattr(store, "backend", "dict") == "csr"
-            assert view.store.source_version == view.graph.version
+        assert getattr(store, "backend", "dict") == "csr"
+        assert store.source_version == view.graph.version
+        assert store is view.read_store()
 
     def test_manual_manager_equivalent(self):
         """The runner's behaviour decomposes into public pieces."""

@@ -11,6 +11,8 @@ from repro.datasets.provenance import provenance_graph
 from repro.errors import ServiceError
 from repro.service.admission import AdmissionPolicy
 from repro.service.server import GraphService, serve_in_thread
+from repro.storage.csr import CSRGraphStore
+from repro.views.definitions import job_to_job_connector
 
 WRITES = "MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j, f"
 
@@ -75,6 +77,38 @@ class TestGraphServiceRouting:
         snaps = service.handle("GET", "/snapshots", None)
         assert snaps.status == 200
         assert snaps.body["snapshots"][0]["version"] in snaps.body["snapshots"][0].values()
+
+    def test_views_frozen_reports_the_head_snapshot(self):
+        """A view below any size floor is still served from CSR at head, and
+        /views must say so."""
+        kaskade = Kaskade(provenance_graph(num_jobs=8, seed=3))
+        view = kaskade.materialize_view(job_to_job_connector(2))
+        assert view.num_edges == 9
+        service = GraphService(kaskade)
+        with service.snapshots.pinned() as head:
+            assert isinstance(head.views[view.definition.name].store, CSRGraphStore)
+        [entry] = service.handle("GET", "/views", None).body["views"]
+        assert entry["name"] == view.definition.name
+        assert entry["frozen"] is True
+
+    def test_views_stay_frozen_after_a_maintained_commit(self):
+        kaskade = Kaskade(provenance_graph(num_jobs=8, seed=3))
+        view = kaskade.materialize_view(job_to_job_connector(2))
+        service = GraphService(kaskade)
+        jobs = kaskade.graph.vertex_ids("Job")
+        files = kaskade.graph.vertex_ids("File")
+        response = service.handle("POST", "/mutate", {"ops": [
+            {"op": "add_edge", "source": jobs[0], "target": files[0],
+             "label": "WRITES_TO"},
+            {"op": "add_edge", "source": files[0], "target": jobs[1],
+             "label": "IS_READ_BY"},
+        ]})
+        assert response.status == 200
+        body = service.handle("GET", "/views", None).body
+        [entry] = body["views"]
+        assert entry["name"] == view.definition.name
+        assert entry["fresh"] is True
+        assert entry["frozen"] is True
 
     def test_metrics_exposition(self, service):
         service.handle("POST", "/query", {"query": WRITES})

@@ -1,15 +1,20 @@
-"""StorageManager: backend-selection heuristics, view freezing, durability."""
+"""StorageManager: the read-streak freeze rule, view freezing, and the one
+shared snapshot cache."""
 
-import pytest
-
-from repro.datasets.provenance import summarized_provenance_graph
+from repro.core import Kaskade
+from repro.datasets.provenance import provenance_graph, summarized_provenance_graph
 from repro.datasets.random_graphs import erdos_renyi_graph
-from repro.errors import ViewError
+from repro.service.mvcc import SnapshotManager
 from repro.storage.base import GraphStore, PropertyGraphStore, ensure_store
 from repro.storage.csr import CSRGraphStore
-from repro.storage.manager import StorageManager, StoragePolicy
+from repro.storage.manager import (
+    MIN_EDGES_TO_FREEZE,
+    StorageManager,
+    discard_snapshot,
+    lookup_snapshot,
+)
 from repro.views.catalog import ViewCatalog
-from repro.views.definitions import job_to_job_connector
+from repro.views.definitions import job_to_job_connector, keep_types_summarizer
 
 
 def big_graph():
@@ -18,40 +23,41 @@ def big_graph():
 
 class TestBackendSelection:
     def test_small_graphs_stay_on_dict(self):
-        manager = StorageManager(StoragePolicy(min_edges_to_freeze=1000))
-        graph = big_graph()  # 400 edges < 1000 floor
+        manager = StorageManager()
+        graph = erdos_renyi_graph(40, MIN_EDGES_TO_FREEZE - 1, seed=2)
         for _ in range(5):
             assert manager.store_for(graph) is graph
         assert manager.stats.snapshots_built == 0
 
     def test_auto_freezes_after_read_threshold(self):
-        manager = StorageManager(StoragePolicy(read_threshold=3))
+        manager = StorageManager()
         graph = big_graph()
         assert manager.store_for(graph) is graph        # read 1
-        assert manager.store_for(graph) is graph        # read 2
-        frozen = manager.store_for(graph)               # read 3 -> freeze
+        frozen = manager.store_for(graph)               # read 2 -> freeze
         assert isinstance(frozen, CSRGraphStore)
         assert manager.store_for(graph) is frozen       # cached snapshot
         assert manager.stats.snapshots_built == 1
         assert manager.stats.snapshot_hits >= 1
 
-    def test_read_mostly_hint_freezes_immediately(self):
-        manager = StorageManager()
+    def test_registry_snapshot_is_served_on_first_read(self):
         graph = big_graph()
-        frozen = manager.store_for(graph, workload="read_mostly")
-        assert isinstance(frozen, CSRGraphStore)
+        frozen = StorageManager().freeze(graph)
+        manager = StorageManager()
+        assert manager.store_for(graph) is frozen
+        assert manager.stats.snapshots_built == 0
 
-    def test_mutating_hint_serves_dict_and_drops_snapshot(self):
+    def test_freeze_builds_once_then_reuses(self):
         manager = StorageManager()
         graph = big_graph()
-        frozen = manager.store_for(graph, workload="read_mostly")
+        frozen = manager.freeze(graph)
         assert isinstance(frozen, CSRGraphStore)
-        assert manager.store_for(graph, workload="mutating") is graph
-        # The read streak restarts: the next auto read is served from dict.
-        assert manager.store_for(graph) is graph
+        assert frozen.source_version == graph.version
+        assert manager.freeze(graph) is frozen
+        assert lookup_snapshot(graph) is frozen
+        assert manager.stats.snapshots_built == 1
 
     def test_mutation_invalidates_snapshot(self):
-        manager = StorageManager(StoragePolicy(read_threshold=2))
+        manager = StorageManager()
         graph = big_graph()
         manager.store_for(graph)
         frozen = manager.store_for(graph)
@@ -72,22 +78,65 @@ class TestBackendSelection:
         adapter = PropertyGraphStore(graph)
         assert manager.store_for(adapter) is adapter
 
-    def test_backend_names_and_bad_hint(self):
-        manager = StorageManager(StoragePolicy(read_threshold=1))
-        graph = big_graph()
-        assert manager.backend_for(graph) == "csr"
-        with pytest.raises(ValueError):
-            manager.store_for(graph, workload="nonsense")
-
-    def test_invalidate_drops_cached_snapshot(self):
-        manager = StorageManager(StoragePolicy(read_threshold=2))
+    def test_invalidate_discards_snapshot(self):
+        manager = StorageManager()
         graph = big_graph()
         manager.store_for(graph)
         frozen = manager.store_for(graph)
         assert isinstance(frozen, CSRGraphStore)
         manager.invalidate(graph)
+        assert lookup_snapshot(graph) is None
         # The read streak restarted, so the next read is served from dict.
         assert manager.store_for(graph) is graph
+
+
+    def test_freeze_ignores_the_size_floor(self):
+        manager = StorageManager()
+        graph = erdos_renyi_graph(20, MIN_EDGES_TO_FREEZE // 4, seed=2)
+        frozen = manager.freeze(graph)
+        assert isinstance(frozen, CSRGraphStore)
+        assert frozen.num_edges == graph.num_edges
+        # store_for's floor does not hide a snapshot that is already built.
+        assert StorageManager().store_for(graph) is frozen
+
+    def test_managers_share_one_snapshot(self):
+        graph = big_graph()
+        first, second = StorageManager(), StorageManager()
+        frozen = first.freeze(graph)
+        assert second.freeze(graph) is frozen
+        assert (first.stats.snapshots_built, second.stats.snapshots_built) == (1, 0)
+        assert second.stats.snapshot_hits == 1
+
+    def test_stale_entry_is_evicted_and_rebuilt(self):
+        manager = StorageManager()
+        graph = big_graph()
+        frozen = manager.freeze(graph)
+        graph.add_vertex("extra", "Vertex")
+        assert lookup_snapshot(graph) is None
+        rebuilt = manager.freeze(graph)
+        assert rebuilt is not frozen
+        assert rebuilt.source_version == graph.version
+        assert manager.stats.snapshots_built == 2
+
+    def test_discard_of_an_unfrozen_graph_is_a_noop(self):
+        graph = big_graph()
+        discard_snapshot(graph)
+        assert lookup_snapshot(graph) is None
+        StorageManager().invalidate(graph)  # no state, no snapshot: no error
+        assert lookup_snapshot(graph) is None
+
+    def test_registry_entry_dies_with_its_graph(self):
+        import gc
+
+        from repro.storage.manager import _SNAPSHOT_REGISTRY
+
+        graph = big_graph()
+        key = id(graph)
+        StorageManager().freeze(graph)
+        assert key in _SNAPSHOT_REGISTRY
+        del graph
+        gc.collect()
+        assert key not in _SNAPSHOT_REGISTRY
 
 
 class TestEnsureStore:
@@ -109,143 +158,142 @@ class TestEnsureStore:
         assert adapter.version == graph.version
 
 
+def _materialized(manager):
+    catalog = ViewCatalog(storage=manager)
+    graph = summarized_provenance_graph(num_jobs=40, seed=7)
+    return catalog, catalog.materialize(graph, job_to_job_connector())
+
+
 class TestViewFreezing:
-    def test_catalog_materialization_attaches_snapshot(self):
-        manager = StorageManager(StoragePolicy(min_edges_to_freeze=1))
-        catalog = ViewCatalog(storage=manager)
-        graph = summarized_provenance_graph(num_jobs=40, seed=7)
-        view = catalog.materialize(graph, job_to_job_connector())
-        assert view.store is not None
-        assert view.read_store() is view.store
+    def test_catalog_materialization_freezes_view(self):
+        manager = StorageManager()
+        _, view = _materialized(manager)
+        store = view.read_store()
+        assert isinstance(store, CSRGraphStore)
+        assert store is lookup_snapshot(view.graph)
         assert manager.stats.views_frozen == 1
 
-    def test_tiny_views_not_frozen(self):
-        manager = StorageManager(StoragePolicy(min_edges_to_freeze=10**9))
+    def test_tiny_views_are_frozen_too(self):
+        manager = StorageManager()
         catalog = ViewCatalog(storage=manager)
-        graph = summarized_provenance_graph(num_jobs=40, seed=7)
-        view = catalog.materialize(graph, job_to_job_connector())
-        assert view.store is None
-        assert view.read_store() is view.graph
+        graph = provenance_graph(num_jobs=8, seed=3)
+        view = catalog.materialize(graph, job_to_job_connector(2))
+        assert view.num_edges < MIN_EDGES_TO_FREEZE
+        assert isinstance(view.read_store(), CSRGraphStore)
 
-    def test_freeze_views_policy_off(self):
-        manager = StorageManager(StoragePolicy(min_edges_to_freeze=1,
-                                               freeze_views=False))
-        catalog = ViewCatalog(storage=manager)
-        graph = summarized_provenance_graph(num_jobs=40, seed=7)
-        view = catalog.materialize(graph, job_to_job_connector())
-        assert view.store is None
+    def test_register_freezes_view(self):
+        _, view = _materialized(StorageManager())
+        discard_snapshot(view.graph)
+        manager = StorageManager()
+        ViewCatalog(storage=manager).register(view)
+        assert view.read_store() is lookup_snapshot(view.graph)
+        assert manager.stats.views_frozen == 1
+
+    def test_embedded_reads_of_a_view_graph_reuse_its_snapshot(self):
+        _, view = _materialized(StorageManager())
+        other = StorageManager()
+        assert other.store_for(view.graph) is view.read_store()
+        assert other.stats.snapshots_built == 0
 
     def test_stale_view_snapshot_falls_back_to_graph(self):
-        manager = StorageManager(StoragePolicy(min_edges_to_freeze=1))
-        catalog = ViewCatalog(storage=manager)
-        graph = summarized_provenance_graph(num_jobs=40, seed=7)
-        view = catalog.materialize(graph, job_to_job_connector())
-        assert view.read_store() is view.store
+        _, view = _materialized(StorageManager())
+        assert isinstance(view.read_store(), CSRGraphStore)
         # Incremental maintenance mutates the view graph behind the snapshot.
         jobs = view.graph.vertex_ids("Job")
         view.graph.add_edge(jobs[0], jobs[1], view.definition.output_label)
         assert view.read_store() is view.graph
-        assert view.store is None  # stale snapshot dropped
+        assert lookup_snapshot(view.graph) is None  # stale entry evicted
 
-
-class TestDurabilityWiring:
-    def test_save_and_load_catalog_through_manager(self, tmp_path):
-        manager = StorageManager(persist_path=tmp_path / "views.jsonl")
-        catalog = ViewCatalog(storage=manager)
-        graph = summarized_provenance_graph(num_jobs=30, seed=7)
-        catalog.materialize(graph, job_to_job_connector())
-        assert manager.save_catalog(catalog) == 1
-
-        fresh_manager = StorageManager(persist_path=tmp_path / "views.jsonl")
-        restored = fresh_manager.load_catalog()
-        assert len(restored) == 1
-        assert restored.storage is fresh_manager
-
-    def test_manager_without_persistence_raises(self):
+    def test_read_store_never_builds(self):
         manager = StorageManager()
-        with pytest.raises(ViewError):
-            manager.save_catalog(ViewCatalog())
-        with pytest.raises(ViewError):
-            manager.load_catalog()
+        _, view = _materialized(manager)
+        discard_snapshot(view.graph)
+        assert view.read_store() is view.graph
+        assert lookup_snapshot(view.graph) is None
 
 
 class TestMaintenanceRefreeze:
     def test_on_maintained_refreezes_instead_of_dropping(self):
-        manager = StorageManager(StoragePolicy(min_edges_to_freeze=1))
-        catalog = ViewCatalog(storage=manager)
-        graph = summarized_provenance_graph(num_jobs=40, seed=7)
-        view = catalog.materialize(graph, job_to_job_connector())
+        manager = StorageManager()
+        _, view = _materialized(manager)
         jobs = view.graph.vertex_ids("Job")
         view.graph.add_edge(jobs[0], jobs[1], view.definition.output_label)
         assert view.read_store() is view.graph  # stale without the hook
         manager.on_maintained(view)
-        assert view.store is not None
-        assert view.store.source_version == view.graph.version
-        assert view.read_store() is view.store
+        store = view.read_store()
+        assert isinstance(store, CSRGraphStore)
+        assert store.source_version == view.graph.version
         assert manager.stats.views_refrozen == 1
 
-    def test_on_maintained_fresh_snapshot_is_noop(self):
-        manager = StorageManager(StoragePolicy(min_edges_to_freeze=1))
-        catalog = ViewCatalog(storage=manager)
-        graph = summarized_provenance_graph(num_jobs=40, seed=7)
-        view = catalog.materialize(graph, job_to_job_connector())
-        store = view.store
+    def test_on_maintained_fresh_snapshot_is_reused(self):
+        manager = StorageManager()
+        _, view = _materialized(manager)
+        store = view.read_store()
+        built = manager.stats.snapshots_built
         manager.on_maintained(view)
-        assert view.store is store
-        assert manager.stats.views_refrozen == 0
-
-    def test_on_maintained_respects_size_floor(self):
-        manager = StorageManager(StoragePolicy(min_edges_to_freeze=1_000_000))
-        catalog = ViewCatalog(storage=manager)
-        graph = summarized_provenance_graph(num_jobs=40, seed=7)
-        view = catalog.materialize(graph, job_to_job_connector())
-        manager.on_maintained(view)
-        assert view.store is None
+        assert view.read_store() is store
+        assert manager.stats.snapshots_built == built
 
 
 class TestDropHook:
-    def test_on_dropped_releases_snapshot_and_registry(self):
-        from repro.storage.manager import lookup_snapshot
-
-        manager = StorageManager(StoragePolicy(min_edges_to_freeze=1))
-        catalog = ViewCatalog(storage=manager)
-        graph = summarized_provenance_graph(num_jobs=40, seed=7)
-        view = catalog.materialize(graph, job_to_job_connector())
+    def test_on_dropped_releases_registry_entry(self):
+        manager = StorageManager()
+        catalog, view = _materialized(manager)
         view_graph = view.graph
-        assert view.store is not None
         assert lookup_snapshot(view_graph) is not None
 
         catalog.drop(view.definition)
-        assert view.store is None
         assert lookup_snapshot(view_graph) is None
-        assert manager.cached_snapshot(view_graph) is None
+        assert view.read_store() is view_graph
         assert manager.stats.views_dropped == 1
 
-    def test_on_dropped_deletes_persisted_record(self, tmp_path):
-        manager = StorageManager(persist_path=tmp_path / "views.jsonl")
+    def test_clear_notifies_for_every_view(self):
+        manager = StorageManager()
         catalog = ViewCatalog(storage=manager)
         graph = summarized_provenance_graph(num_jobs=30, seed=7)
-        view = catalog.materialize(graph, job_to_job_connector())
-        manager.save_catalog(catalog)
-        assert view.definition.name in manager.persistent.view_names()
-        catalog.drop(view.definition)
-        assert view.definition.name not in manager.persistent.view_names()
-        # A later restore cannot resurrect the dropped view.
-        assert len(StorageManager(
-            persist_path=tmp_path / "views.jsonl").load_catalog()) == 0
-
-    def test_clear_notifies_for_every_view(self, tmp_path):
-        manager = StorageManager(persist_path=tmp_path / "views.jsonl")
-        catalog = ViewCatalog(storage=manager)
-        graph = summarized_provenance_graph(num_jobs=30, seed=7)
-        catalog.materialize(graph, job_to_job_connector())
-        from repro.views.definitions import keep_types_summarizer
-        catalog.materialize(graph, keep_types_summarizer(["Job"]))
-        manager.save_catalog(catalog)
+        first = catalog.materialize(graph, job_to_job_connector())
+        second = catalog.materialize(graph, keep_types_summarizer(["Job"]))
         catalog.clear()
         assert len(catalog) == 0
-        assert manager.persistent.view_names() == []
+        assert lookup_snapshot(first.graph) is None
+        assert lookup_snapshot(second.graph) is None
         assert manager.stats.views_dropped == 2
+
+
+class TestOneSnapshotCache:
+    """Embedded reads, the registry and the served head snapshot all hold the
+    very same CSR store of a view."""
+
+    def test_view_store_is_the_registry_entry_through_its_lifecycle(self):
+        kaskade = Kaskade(provenance_graph(num_jobs=20, seed=3))
+        view = kaskade.materialize_view(job_to_job_connector(k=2, name="j2j"))
+        service = SnapshotManager(kaskade)
+
+        def served():
+            with service.pinned() as snapshot:
+                return snapshot.views["j2j"].store
+
+        assert isinstance(view.read_store(), CSRGraphStore)
+        assert view.read_store() is lookup_snapshot(view.graph)
+        assert served() is view.read_store()
+
+        jobs = kaskade.graph.vertex_ids("Job")
+        files = kaskade.graph.vertex_ids("File")
+        service.commit([
+            {"op": "add_edge", "source": jobs[0], "target": files[0],
+             "label": "WRITES_TO"},
+            {"op": "add_edge", "source": files[0], "target": jobs[1],
+             "label": "IS_READ_BY"},
+        ])
+        assert view.base_version == kaskade.graph.version
+        assert view.read_store() is lookup_snapshot(view.graph)
+        assert view.read_store().source_version == view.graph.version
+        assert served() is view.read_store()
+
+        view_graph = view.graph
+        kaskade.evict_view(view.definition)
+        assert lookup_snapshot(view_graph) is None
+        assert view.read_store() is view_graph
 
 
 class TestSnapshotRegistryThreadSafety:

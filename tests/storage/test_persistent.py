@@ -7,6 +7,8 @@ import pytest
 from repro.core.kaskade import Kaskade
 from repro.datasets.provenance import summarized_provenance_graph
 from repro.errors import ViewError
+from repro.storage.csr import CSRGraphStore
+from repro.storage.manager import StorageManager, lookup_snapshot
 from repro.storage.persistent import PersistentViewStore
 from repro.views.catalog import ViewCatalog
 from repro.views.definitions import (
@@ -25,10 +27,9 @@ BLAST_RADIUS = (
 )
 
 
-@pytest.fixture(params=["jsonl", "sqlite"])
-def store_path(request, tmp_path):
-    suffix = ".jsonl" if request.param == "jsonl" else ".db"
-    return tmp_path / f"views{suffix}"
+@pytest.fixture
+def store_path(tmp_path):
+    return tmp_path / "views.jsonl"
 
 
 class TestDefinitionSerialization:
@@ -65,18 +66,6 @@ class TestDefinitionSerialization:
         hash(restored.signature())  # would raise TypeError on nested lists
 
 
-class TestBackendInference:
-    def test_suffix_selects_backend(self, tmp_path):
-        assert PersistentViewStore(tmp_path / "v.jsonl").backend == "jsonl"
-        assert PersistentViewStore(tmp_path / "v.db").backend == "sqlite"
-        assert PersistentViewStore(tmp_path / "v.sqlite3").backend == "sqlite"
-        assert PersistentViewStore(tmp_path / "v.dat", backend="jsonl").backend == "jsonl"
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ViewError):
-            PersistentViewStore(tmp_path / "v.jsonl", backend="parquet")
-
-
 class TestCatalogRoundTrip:
     def test_save_and_reload_views(self, store_path):
         graph = summarized_provenance_graph(num_jobs=30, seed=7)
@@ -102,10 +91,9 @@ class TestCatalogRoundTrip:
         graph = summarized_provenance_graph(num_jobs=20, seed=3)
         catalog = ViewCatalog()
         view = catalog.materialize(graph, job_to_job_connector())
-        for name in ("nested/deeper/views.jsonl", "nested2/deeper/views.db"):
-            store = PersistentViewStore(tmp_path / name)
-            store.save_view(view)  # must not require pre-existing directories
-            assert len(store) == 1
+        store = PersistentViewStore(tmp_path / "nested/deeper/views.jsonl")
+        store.save_view(view)  # must not require pre-existing directories
+        assert len(store) == 1
 
     def test_save_view_upsert_and_delete(self, store_path):
         graph = summarized_provenance_graph(num_jobs=20, seed=3)
@@ -128,6 +116,64 @@ class TestCatalogRoundTrip:
         store.clear()
         assert len(store) == 0
         assert store.load_views() == []
+
+
+    def test_missing_file_reads_as_empty_store(self, tmp_path):
+        store = PersistentViewStore(tmp_path / "absent.jsonl")
+        assert len(store) == 0
+        assert store.load_views() == []
+        assert store.view_names() == []
+        assert not store.path.exists()  # reads never create the file
+
+    def test_reopened_store_sees_saved_views(self, store_path):
+        graph = summarized_provenance_graph(num_jobs=20, seed=3)
+        catalog = ViewCatalog()
+        view = catalog.materialize(graph, job_to_job_connector())
+        PersistentViewStore(store_path).save_view(view)
+        reopened = PersistentViewStore(store_path)
+        assert reopened.view_names() == [view.definition.name]
+        [loaded] = reopened.load_views()
+        assert loaded.definition == view.definition
+        assert loaded.creation_seconds == view.creation_seconds
+        assert loaded.num_edges == view.num_edges
+
+    def test_writes_are_atomic_renames(self, store_path):
+        graph = summarized_provenance_graph(num_jobs=20, seed=3)
+        catalog = ViewCatalog()
+        view = catalog.materialize(graph, job_to_job_connector())
+        store = PersistentViewStore(store_path)
+        store.save_view(view)
+        store.save_state("lifecycle", {"cycle": 1})
+        store.delete_view(view.definition)
+        leftovers = sorted(p.name for p in store_path.parent.iterdir())
+        assert leftovers == ["views.jsonl", "views.jsonl.state.json"]
+
+
+class TestJsonlFormat:
+    def test_one_json_record_per_view(self, store_path):
+        graph = summarized_provenance_graph(num_jobs=30, seed=7)
+        catalog = ViewCatalog()
+        catalog.materialize(graph, job_to_job_connector())
+        catalog.materialize(graph, keep_types_summarizer(["Job"]))
+        PersistentViewStore(store_path).save_catalog(catalog)
+        lines = store_path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2
+        records = [json.loads(line) for line in lines]
+        assert sorted(r["definition"]["name"] for r in records) == sorted(
+            v.definition.name for v in catalog)
+        assert all({"signature", "definition", "graph", "creation_seconds"}
+                   <= set(r) for r in records)
+
+    def test_any_suffix_is_written_as_jsonl(self, tmp_path):
+        """There is one on-disk format; the path suffix selects nothing."""
+        graph = summarized_provenance_graph(num_jobs=20, seed=3)
+        catalog = ViewCatalog()
+        view = catalog.materialize(graph, job_to_job_connector())
+        store = PersistentViewStore(tmp_path / "views.db")
+        store.save_view(view)
+        [line] = store.path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(line)["definition"]["name"] == view.definition.name
+        assert [v.definition for v in store.load_views()] == [view.definition]
 
 
 class TestAdvisorState:
@@ -199,26 +245,30 @@ class TestRewriteEquivalenceAfterReload:
         assert json.dumps(second.result.rows, sort_keys=True, default=str) == \
             json.dumps(first.result.rows, sort_keys=True, default=str)
 
-    def test_persist_through_attached_storage_manager(self, tmp_path):
-        """With StorageManager(persist_path=...), no explicit path is needed."""
-        from repro.storage.manager import StorageManager
+    def test_load_catalog_freezes_views_into_the_registry(self, store_path):
+        graph = summarized_provenance_graph(num_jobs=30, seed=7)
+        catalog = ViewCatalog()
+        catalog.materialize(graph, job_to_job_connector())
+        catalog.materialize(graph, keep_types_summarizer(["Job"]))
+        PersistentViewStore(store_path).save_catalog(catalog)
 
+        manager = StorageManager()
+        restored = PersistentViewStore(store_path).load_catalog(
+            ViewCatalog(storage=manager))
+        assert len(restored) == 2
+        assert manager.stats.views_frozen == 2
+        for view in restored:
+            assert isinstance(view.read_store(), CSRGraphStore)
+            assert view.read_store() is lookup_snapshot(view.graph)
+
+    def test_restore_views_serves_queries_from_frozen_views(self, store_path):
         graph = summarized_provenance_graph(num_jobs=40, seed=7)
-        manager = StorageManager(persist_path=tmp_path / "attached.jsonl")
-        kaskade = Kaskade(graph, storage=manager)
-        query = kaskade.parse(BLAST_RADIUS, name="blast-radius")
-        kaskade.select_views([query], budget_edges=4 * graph.num_edges)
-        store = kaskade.persist_views()           # uses the attached store
-        assert store is manager.persistent
-
-        resumed = Kaskade(graph, storage=StorageManager(
-            persist_path=tmp_path / "attached.jsonl"))
-        assert resumed.restore_views() == len(kaskade.catalog)
-
-    def test_persist_without_target_raises(self):
-        graph = summarized_provenance_graph(num_jobs=10, seed=7)
         kaskade = Kaskade(graph)
-        with pytest.raises(ViewError):
-            kaskade.persist_views()
-        with pytest.raises(ViewError):
-            kaskade.restore_views()
+        kaskade.materialize_view(job_to_job_connector(k=2, name="j2j"))
+        kaskade.persist_views(store_path)
+
+        resumed = Kaskade(graph)
+        assert resumed.restore_views(store_path) == 1
+        [view] = list(resumed.catalog)
+        assert view.read_store() is lookup_snapshot(view.graph)
+        assert isinstance(view.read_store(), CSRGraphStore)

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ViewError, ViewNotMaterializedError
 from repro.graph import PropertyGraph
 from repro.views import (
-    ConnectorMaintainer,
     ConnectorView,
     MaterializedView,
     ViewCatalog,
@@ -13,6 +12,7 @@ from repro.views import (
     keep_types_summarizer,
 )
 from repro.views.definitions import ViewDefinition
+from repro.views.maintenance import ConnectorMaintainer
 
 
 @pytest.fixture

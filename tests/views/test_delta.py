@@ -13,7 +13,8 @@ import random
 import pytest
 
 from repro.graph import PropertyGraph
-from repro.storage import StorageManager, StoragePolicy
+from repro.storage import CSRGraphStore, StorageManager
+from repro.storage.manager import lookup_snapshot
 from repro.views import (
     ConnectorView,
     MaintenanceManager,
@@ -253,16 +254,17 @@ class TestSummarizerDeltas:
 class TestStorageIntegration:
     def test_refresh_refreezes_snapshots(self):
         graph = make_lineage(num_jobs=24, num_files=30, num_edges=120, seed=13)
-        storage = StorageManager(StoragePolicy(min_edges_to_freeze=1))
+        storage = StorageManager()
         catalog = ViewCatalog(storage=storage)
         view = catalog.materialize(graph, job_to_job_connector())
-        assert view.store is not None
+        assert isinstance(view.read_store(), CSRGraphStore)
         manager = MaintenanceManager(graph, catalog, storage=storage)
         mutate(graph, random.Random(14), steps=20)
         manager.refresh()
         # The snapshot was re-frozen at the maintained graph's version, so
         # hot reads stay on the CSR backend instead of degrading to dict.
-        assert view.store is not None
-        assert view.store.source_version == view.graph.version
-        assert view.read_store() is view.store
+        store = view.read_store()
+        assert isinstance(store, CSRGraphStore)
+        assert store.source_version == view.graph.version
+        assert store is lookup_snapshot(view.graph)
         assert storage.stats.views_refrozen >= 1
