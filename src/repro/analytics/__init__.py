@@ -2,8 +2,9 @@
 
 Every traversal/community/path function transparently routes to the
 index-space CSR kernels (:mod:`repro.analytics.kernels`) when handed a
-:class:`~repro.storage.csr.CSRGraphStore` — or a dict graph large enough to
-auto-freeze — and otherwise runs the dict-store reference implementation.
+:class:`~repro.storage.csr.CSRGraphStore` — or a dict graph with a fresh
+snapshot already in the registry — and otherwise runs the dict-store
+reference implementation.
 """
 
 from repro.analytics import kernels

@@ -30,13 +30,14 @@ interned integer ids:
   (:func:`k_hop_paths`).
 
 Dispatch: the public analytics functions call :func:`resolve_store` and route
-to kernels when handed a ``CSRGraphStore`` — or when a dict graph is large
-enough that the one-off freeze (cached per graph version by a shared
-:class:`~repro.storage.manager.StorageManager`) amortizes immediately
-(:data:`AUTO_FREEZE_MIN_EDGES`).  Setting the environment variable
-:data:`FORCE_REFERENCE_ENV` to ``1`` disables the kernels entirely, forcing
-every call onto the dict-store reference implementations — the differential
-escape hatch.
+to kernels when handed a ``CSRGraphStore``, or a dict graph whose fresh
+snapshot is already in the shared registry
+(:func:`~repro.storage.manager.lookup_snapshot`).  Dispatch never freezes:
+whoever publishes or reads a version freezes it
+(:meth:`~repro.storage.manager.StorageManager.freeze`).  Setting the
+environment variable :data:`FORCE_REFERENCE_ENV` to ``1`` disables the
+kernels entirely, forcing every call onto the dict-store reference
+implementations — the differential escape hatch.
 
 **Execution tiers.**  There are exactly two: the *vectorized* CSR kernels in
 this module (whole-frontier ``np.repeat``/gather expansion over the CSR
@@ -58,43 +59,18 @@ import os
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as _np
 
-from repro.graph.property_graph import PropertyGraph, VertexId
+from repro.graph.property_graph import VertexId
 from repro.storage.base import GraphLike, underlying_graph
 from repro.storage import csr as _csr
 from repro.storage.csr import CSRGraphStore, gather_slices
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (manager -> views)
-    from repro.storage.manager import StorageManager
-
-#: Dict graphs with at least this many edges are auto-frozen to CSR on the
-#: first analytics call (the snapshot is cached per graph version, so a
-#: workload's per-anchor call pattern pays the build once).  Below the
-#: threshold the reference path wins: CSR construction would cost more than
-#: the traversal saves.
-AUTO_FREEZE_MIN_EDGES = 4096
+from repro.storage.manager import lookup_snapshot
 
 #: Environment variable that forces the reference (dict-store) path when set
 #: to ``1`` — the escape hatch for debugging and differential benchmarking.
 FORCE_REFERENCE_ENV = "ANALYTICS_FORCE_REFERENCE"
-
-#: Shared manager backing the auto-freeze dispatch; its builds land in the
-#: shared snapshot registry like every other manager's.  Created lazily:
-#: ``storage.manager`` transitively imports the view layer, which imports
-#: this module (for the connector path kernel).
-_manager: "StorageManager | None" = None
-
-
-def _shared_manager() -> "StorageManager":
-    global _manager
-    if _manager is None:
-        from repro.storage.manager import StorageManager
-
-        _manager = StorageManager()
-    return _manager
 
 
 @dataclass
@@ -172,99 +148,41 @@ def _note_dispatch(path: str) -> None:
         _dispatch_subscribers[:] = alive
 
 
-def _dispatch_base(graph: GraphLike
-                   ) -> tuple[PropertyGraph | None, CSRGraphStore | None]:
-    """Shared dispatch prefix: ``(freezable base graph, ready CSR store)``.
+def _ready_store(graph: GraphLike) -> CSRGraphStore | None:
+    """The CSR store kernels can run on without building one, or ``None``.
 
-    The single decision chain every dispatch entry point (and
-    :func:`engine_for`'s prediction) runs: forced-reference and unknown store
-    types yield ``(None, None)``; a CSR store (or a fresh snapshot published
-    by *any* manager) comes back ready in the second slot; otherwise the
-    first slot carries the dict graph the caller may decide to freeze.
+    A ``CSRGraphStore`` is used as it is; any other input runs on the fresh
+    registry snapshot of its underlying graph, if some
+    :class:`~repro.storage.manager.StorageManager` published one.
     """
     if forced_reference():
-        return None, None
+        return None
     if isinstance(graph, CSRGraphStore):
-        return None, graph
+        return graph
     base = underlying_graph(graph)
-    if base is None:
-        return None, None
-    from repro.storage.manager import lookup_snapshot
-
-    return base, lookup_snapshot(base)
+    return None if base is None else lookup_snapshot(base)
 
 
 def resolve_store(graph: GraphLike) -> CSRGraphStore | None:
     """The CSR store kernels should run on, or ``None`` for the reference path.
 
-    A ``CSRGraphStore`` (or a store wrapping one) is used as-is, and a fresh
-    snapshot published by *any* :class:`StorageManager` is adopted for free
-    regardless of size.  Otherwise a mutable dict graph is frozen through the
-    shared dispatch manager when it has at least
-    :data:`AUTO_FREEZE_MIN_EDGES` edges; the snapshot is cached until the
-    graph's ``version`` counter moves.  Unknown store types and graphs below
-    the threshold stay on the reference implementations.
+    Never freezes: a dict graph without a fresh snapshot in the registry
+    stays on the reference implementations (recorded as a ``"reference"``
+    dispatch).
     """
-    base, ready = _dispatch_base(graph)
-    if ready is not None:
-        return ready
-    if base is None or base.num_edges < AUTO_FREEZE_MIN_EDGES:
+    store = _ready_store(graph)
+    if store is None:
         _note_dispatch("reference")
-        return None
-    return _shared_manager().freeze(base)
-
-
-#: A one-shot path enumeration only freezes when its estimated traversal work
-#: (``E * avg_degree^(k-1)``) exceeds this multiple of the CSR build cost
-#: (``V + E``) — below that, building the snapshot costs more than the
-#: index-space DFS saves.  Already-cached snapshots are always used.
-PATH_KERNEL_BUILD_FACTOR = 6.0
-
-
-def resolve_store_for_paths(graph: GraphLike, k: int) -> CSRGraphStore | None:
-    """Dispatch decision for k-hop *path enumeration* (connector views).
-
-    Unlike :func:`resolve_store` — whose callers (workload analytics) repeat
-    per-anchor calls against one graph version, so a freeze always amortizes —
-    connector materialization typically enumerates once per graph version.
-    The kernel is therefore used when the store is already CSR, when *any*
-    manager already published a fresh snapshot, or when the estimated
-    enumeration work is large enough (:data:`PATH_KERNEL_BUILD_FACTOR`) to
-    bury the build cost.
-    """
-    base, ready = _dispatch_base(graph)
-    if ready is not None:
-        return ready
-    if base is None:
-        _note_dispatch("reference")
-        return None
-    edges = base.num_edges
-    vertices = base.num_vertices
-    if edges < AUTO_FREEZE_MIN_EDGES:
-        _note_dispatch("reference")
-        return None
-    average_degree = edges / vertices if vertices else 0.0
-    estimated_work = edges * (average_degree ** (k - 1))
-    if estimated_work < PATH_KERNEL_BUILD_FACTOR * (vertices + edges):
-        _note_dispatch("reference")
-        return None
-    return _shared_manager().freeze(base)
+    return store
 
 
 def engine_for(graph: GraphLike) -> str:
     """``"kernel"`` when :func:`resolve_store` would route to CSR kernels,
     else ``"reference"`` — what the workload runner reports per query.
 
-    Pure prediction: unlike :func:`resolve_store` this never freezes, so
-    probing the engine does not move the build cost out of whatever the
-    caller is timing.
+    Pure prediction: unlike :func:`resolve_store` this records no dispatch.
     """
-    base, ready = _dispatch_base(graph)
-    if ready is not None:
-        return "kernel"
-    if base is None:
-        return "reference"
-    return "kernel" if base.num_edges >= AUTO_FREEZE_MIN_EDGES else "reference"
+    return "reference" if _ready_store(graph) is None else "kernel"
 
 
 # ------------------------------------------------------------ cached contexts

@@ -6,10 +6,10 @@ neighbourhood of (all) vertices, and the job blast radius which aggregates a
 property over the downstream set.
 
 Every function dispatches through :mod:`repro.analytics.kernels`: when the
-input is (or auto-freezes into) a :class:`~repro.storage.csr.CSRGraphStore`,
-the traversal runs as an index-space kernel over the CSR arrays; otherwise the
-dict-store reference implementation below runs — and stays the differential
-oracle the kernels are pinned against.
+input is a :class:`~repro.storage.csr.CSRGraphStore` or already has a fresh
+snapshot, the traversal runs as an index-space kernel over the CSR arrays;
+otherwise the dict-store reference implementation below runs — and stays the
+differential oracle the kernels are pinned against.
 """
 
 from __future__ import annotations

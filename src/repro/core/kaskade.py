@@ -167,8 +167,9 @@ class Kaskade:
             knapsack_method: Solver used for view selection.
             materialization_max_paths: Optional cap on paths contracted per
                 connector view (protects dense homogeneous graphs).
-            storage: Storage manager deciding when the base graph and the
-                views are frozen to CSR; a fresh one is created when omitted.
+            storage: Storage manager that freezes the base graph on every
+                read of a new version and each view when it is materialized
+                or maintained; a fresh one is created when omitted.
             auto_refresh: When true, every :meth:`execute` call that may use
                 views first runs delta maintenance so rewrites never read a
                 stale view; when false (default) the caller decides when to
@@ -482,7 +483,8 @@ class Kaskade:
                 ) -> QueryOutcome:
         """Execute a query on the live graph, choosing base vs. best view.
 
-        Runs :meth:`execute_on` over the live base store and the catalog's
+        Runs :meth:`execute_on` over the base graph's CSR snapshot (frozen
+        once per version read, like the served publish) and the catalog's
         views, plus the two embedded-only steps: delta maintenance first
         under ``auto_refresh``, and the adaptive lifecycle engine fed
         afterwards (served readers never mutate the catalog).
@@ -498,7 +500,7 @@ class Kaskade:
         """
         if use_views and self.auto_refresh and len(self.catalog):
             self.refresh_views()
-        outcome = self.execute_on(query, self.storage.store_for(self.graph),
+        outcome = self.execute_on(query, self.storage.freeze(self.graph),
                                   self.catalog.by_signature, use_views=use_views,
                                   max_work=max_work, engine=engine)
         # Feed the adaptive lifecycle engine; raw baselines (use_views=False)

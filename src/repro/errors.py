@@ -156,17 +156,3 @@ class ClientError(ServiceError):
 class DeadlineExceededError(ClientError):
     """Raised when a client request (including its retries) exhausted its
     per-request deadline before receiving a successful response."""
-
-
-class CircuitOpenError(ClientError):
-    """Raised when a circuit breaker is open and the call is refused without
-    being attempted.
-
-    Carries ``retry_after_seconds`` — the time until the breaker transitions
-    to half-open and allows a probe.
-    """
-
-    def __init__(self, name: str, retry_after_seconds: float = 0.0) -> None:
-        super().__init__(f"circuit {name!r} is open; "
-                         f"retry after {retry_after_seconds:.3f}s")
-        self.retry_after_seconds = retry_after_seconds

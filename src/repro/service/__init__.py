@@ -8,8 +8,8 @@ token buckets; :class:`ServiceMetrics` exposes Prometheus-format telemetry;
 :class:`KaskadeHTTPServer` (stdlib asyncio).
 Commits become crash-safe when a :class:`~repro.durability.DurabilityEngine`
 is threaded through (``GraphService.open_durable``), and
-:class:`KaskadeClient` gives callers retries, deadlines, and circuit
-breaking over the whole stack.
+:class:`KaskadeClient` gives callers retries and deadlines over the whole
+stack.
 """
 
 from repro.durability import MUTATION_OPS
@@ -22,7 +22,6 @@ from repro.service.admission import (
 )
 from repro.service.client import (
     RETRYABLE_STATUSES,
-    CircuitBreaker,
     ClientResponse,
     KaskadeClient,
     RetryPolicy,
@@ -57,7 +56,6 @@ __all__ = [
     "Ticket",
     "TokenBucket",
     "RETRYABLE_STATUSES",
-    "CircuitBreaker",
     "ClientResponse",
     "KaskadeClient",
     "RetryPolicy",

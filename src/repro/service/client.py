@@ -1,4 +1,4 @@
-"""Resilient service client: retries, deadlines, and circuit breaking.
+"""Resilient service client: retries and deadlines.
 
 Server-side durability (:mod:`repro.durability`) makes crashes recoverable;
 this module makes them *survivable for callers*:
@@ -11,9 +11,6 @@ this module makes them *survivable for callers*:
   for queries — is converted into the server-side ``max_work`` traversal
   budget via ``work_rate``, so a client's 250 ms deadline becomes the
   executor's work cap instead of a best-effort suggestion.
-* :class:`CircuitBreaker` — counts recent failures in a rolling window and
-  refuses calls (:class:`~repro.errors.CircuitOpenError`) once a threshold
-  trips, letting one probe through per ``reset_seconds`` (half-open).
 
 The HTTP transport is ``http.client`` (stdlib, matching the server's
 dependency-free stance) and is pluggable for tests.
@@ -24,118 +21,15 @@ from __future__ import annotations
 import http.client
 import json
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.errors import CircuitOpenError, DeadlineExceededError, ServiceError
+from repro.errors import DeadlineExceededError, ServiceError
 
 #: Response statuses worth retrying: shed (429), crashed mid-handle (500),
 #: and not-ready-yet (503).  4xx client mistakes are not retried.
 RETRYABLE_STATUSES = frozenset({429, 500, 503})
-
-
-class CircuitBreaker:
-    """Rolling-window failure counter with closed → open → half-open states.
-
-    Example:
-        >>> breaker = CircuitBreaker("demo", failure_threshold=2, reset_seconds=60)
-        >>> breaker.record_failure(); breaker.record_failure()
-        >>> breaker.state
-        'open'
-        >>> breaker.allow()
-        False
-    """
-
-    def __init__(self, name: str = "default", *, failure_threshold: int = 5,
-                 window_seconds: float = 30.0, reset_seconds: float = 5.0,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        """Args:
-            name: Label used in errors and metrics.
-            failure_threshold: Failures within the window that trip the
-                breaker open.
-            window_seconds: Rolling window over which failures are counted.
-            reset_seconds: Open duration before one half-open probe is let
-                through; the probe's success closes the breaker, its failure
-                re-opens it for another full period.
-            clock: Monotonic time source (injectable for tests).
-        """
-        self.name = name
-        self.failure_threshold = max(1, failure_threshold)
-        self.window_seconds = window_seconds
-        self.reset_seconds = reset_seconds
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._failures: list[float] = []
-        self._opened_at: float | None = None
-        self._probing = False
-
-    def _prune(self, now: float) -> None:
-        horizon = now - self.window_seconds
-        while self._failures and self._failures[0] < horizon:
-            self._failures.pop(0)
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state(self._clock())
-
-    def _state(self, now: float) -> str:
-        if self._opened_at is None:
-            return "closed"
-        if now - self._opened_at >= self.reset_seconds:
-            return "half-open"
-        return "open"
-
-    @property
-    def recent_failures(self) -> int:
-        with self._lock:
-            self._prune(self._clock())
-            return len(self._failures)
-
-    @property
-    def retry_after_seconds(self) -> float:
-        """Seconds until a half-open probe would be allowed (0 when closed)."""
-        with self._lock:
-            if self._opened_at is None:
-                return 0.0
-            return max(0.0, self.reset_seconds - (self._clock() - self._opened_at))
-
-    def allow(self) -> bool:
-        """Whether a call may proceed; half-open admits a single probe."""
-        with self._lock:
-            now = self._clock()
-            state = self._state(now)
-            if state == "closed":
-                return True
-            if state == "half-open" and not self._probing:
-                self._probing = True
-                return True
-            return False
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._failures.clear()
-            self._opened_at = None
-            self._probing = False
-
-    def record_failure(self) -> None:
-        with self._lock:
-            now = self._clock()
-            if self._probing or self._state(now) == "half-open":
-                # Failed probe: re-open for another full reset period.
-                self._opened_at = now
-                self._probing = False
-                return
-            self._failures.append(now)
-            self._prune(now)
-            if len(self._failures) >= self.failure_threshold:
-                self._opened_at = now
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"CircuitBreaker({self.name!r}, state={self.state!r}, "
-                f"failures={self.recent_failures})")
 
 
 @dataclass
@@ -184,7 +78,7 @@ class ClientResponse:
 
 
 class KaskadeClient:
-    """HTTP client for the graph service with retries, deadlines, breaking.
+    """HTTP client for the graph service with retries and deadlines.
 
     Example:
         >>> client = KaskadeClient("127.0.0.1", 8080)     # doctest: +SKIP
@@ -193,7 +87,6 @@ class KaskadeClient:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 80, *,
                  retry: RetryPolicy | None = None,
-                 breaker: CircuitBreaker | None = None,
                  default_deadline: float = 10.0,
                  work_rate: float = 200_000.0,
                  transport: Callable[..., tuple[int, dict[str, str], bytes]] | None = None,
@@ -201,7 +94,6 @@ class KaskadeClient:
         """Args:
             host, port: Server address.
             retry: Backoff policy (default: 4 attempts, 50 ms base, jittered).
-            breaker: Optional circuit breaker consulted before every attempt.
             default_deadline: Per-request wall-clock budget (seconds) when a
                 call does not pass its own.
             work_rate: Traversal work units the server is assumed to do per
@@ -215,7 +107,6 @@ class KaskadeClient:
         self.host = host
         self.port = port
         self.retry = retry or RetryPolicy()
-        self.breaker = breaker
         self.default_deadline = default_deadline
         self.work_rate = work_rate
         self._transport = transport or self._http_transport
@@ -239,10 +130,9 @@ class KaskadeClient:
     def request(self, method: str, path: str,
                 payload: Mapping[str, Any] | None = None, *,
                 deadline: float | None = None) -> ClientResponse:
-        """One logical request: attempts, backoff, breaker, deadline.
+        """One logical request: attempts, backoff, deadline.
 
         Raises:
-            CircuitOpenError: The breaker refused the call without a try.
             DeadlineExceededError: The budget ran out before a non-retryable
                 response arrived.
             ServiceError: Attempts were exhausted on retryable failures with
@@ -259,16 +149,11 @@ class KaskadeClient:
                 raise DeadlineExceededError(
                     f"{method} {path} exceeded its {budget:.3f}s deadline "
                     f"after {attempt - 1} attempts ({last_error})")
-            if self.breaker is not None and not self.breaker.allow():
-                raise CircuitOpenError(self.breaker.name,
-                                       self.breaker.retry_after_seconds)
             retry_after: float | None = None
             try:
                 status, headers, raw = self._transport(method, path, body,
                                                        remaining)
             except (OSError, http.client.HTTPException) as exc:
-                if self.breaker is not None:
-                    self.breaker.record_failure()
                 last_error = f"transport: {exc}"
             else:
                 try:
@@ -278,15 +163,10 @@ class KaskadeClient:
                 if not isinstance(decoded, dict):
                     decoded = {"body": decoded}
                 if status not in RETRYABLE_STATUSES:
-                    if self.breaker is not None:
-                        self.breaker.record_success()
                     return ClientResponse(
                         status=status, body=decoded, headers=headers,
                         attempts=attempt,
                         elapsed_seconds=time.monotonic() - start)
-                if self.breaker is not None and status != 429:
-                    # Sheds are the server protecting itself, not failing.
-                    self.breaker.record_failure()
                 last_error = f"status {status}: {decoded.get('error', '?')}"
                 header = headers.get("retry-after")
                 if header is not None:

@@ -470,19 +470,6 @@ class ServiceMetrics:
         """Mirror every injected fault into ``kaskade_injected_faults_total``."""
         injector.attach_counter(self.injected_faults)
 
-    def bind_breaker(self, breaker) -> None:
-        """Register gauges over a :class:`~repro.service.client.CircuitBreaker`."""
-        r = self.registry
-        r.gauge_callback(
-            "kaskade_circuit_breaker_state",
-            "Breaker state by name (0=closed, 1=half-open, 2=open)",
-            lambda: [({"breaker": breaker.name},
-                      {"closed": 0.0, "half-open": 1.0, "open": 2.0}[breaker.state])])
-        r.gauge_callback(
-            "kaskade_circuit_breaker_failures",
-            "Failures currently inside the breaker's rolling window",
-            lambda: [({"breaker": breaker.name}, float(breaker.recent_failures))])
-
     def bind_admission(self, admission) -> None:
         """Register callback gauges over an :class:`AdmissionController`."""
         r = self.registry

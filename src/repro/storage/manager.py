@@ -8,18 +8,14 @@ it reuses the registry entry when there is a fresh one and publishes its
 build otherwise, so independent managers never build duplicate snapshots of
 the same graph version.
 
-The :class:`StorageManager` decides *when* a live graph is frozen:
-
-* **Embedded reads** — :meth:`StorageManager.store_for` serves a snapshot
-  already in the registry, and freezes a graph of at least
-  :data:`MIN_EDGES_TO_FREEZE` edges once it has been read
-  :data:`READ_THRESHOLD` times with no topological mutation in between;
-  otherwise the caller reads the dict-based ``PropertyGraph``.
-* **Views** — materialized views are read-mostly by construction, so the
-  catalog hooks freeze every view when it is materialized or registered,
-  re-freeze it after delta maintenance, and discard its snapshot when it is
-  dropped.  Every rewrite runs wholly on one such store; there is no base ∪
-  view graph.
+Only code that publishes or reads a version freezes it: embedded queries
+(``Kaskade.execute``) and ``Kaskade.analytics_store`` freeze the base graph,
+the served commit path freezes every version it publishes, and the catalog
+hooks below freeze every view when it is materialized or registered,
+re-freeze it after delta maintenance, and discard its snapshot when it is
+dropped.  Every other consumer (analytics dispatch, connector enumeration,
+view reads) only looks the snapshot up.  Every rewrite runs wholly on one
+such store; there is no base ∪ view graph.
 """
 
 from __future__ import annotations
@@ -30,20 +26,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.graph.property_graph import PropertyGraph
-from repro.storage.base import GraphLike, GraphStore
 from repro.storage.csr import CSRGraphStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (catalog -> manager)
     from repro.views.catalog import MaterializedView
-
-#: Graphs below this edge count stay on the dict representation in
-#: :meth:`StorageManager.store_for` — the CSR build would cost more than it
-#: saves.
-MIN_EDGES_TO_FREEZE = 128
-
-#: Consecutive :meth:`StorageManager.store_for` reads of one graph version
-#: before the graph counts as read-mostly and is frozen.
-READ_THRESHOLD = 2
 
 
 @dataclass
@@ -57,18 +43,9 @@ class StorageStats:
     views_dropped: int = 0
 
 
-@dataclass
-class _GraphState:
-    """Per-graph read streak (kept alive only while the graph is)."""
-
-    ref: weakref.ref
-    observed_version: int = -1
-    reads_since_change: int = 0
-
-
 # All access goes through _REGISTRY_LOCK: the registry is shared across
 # every manager in the process, and the serving layer freezes from a writer
-# thread while analytics dispatch may freeze from readers — unsynchronized
+# thread while readers freeze or look up from others — unsynchronized
 # check-then-pop sequences could drop a concurrent publisher's entry or
 # leave two managers each believing their build won.
 _SNAPSHOT_REGISTRY: dict[int, tuple[weakref.ref, CSRGraphStore]] = {}
@@ -97,9 +74,9 @@ def _publish_snapshot(graph: PropertyGraph, snapshot: CSRGraphStore) -> CSRGraph
 def lookup_snapshot(graph: PropertyGraph) -> CSRGraphStore | None:
     """The fresh CSR snapshot of ``graph`` in the registry, or ``None``.
 
-    Consumers that only profit from a snapshot when the build cost is
-    already paid (analytics dispatch, one-shot connector enumeration, view
-    reads) probe this instead of freezing; staleness is detected via the
+    Consumers that neither publish nor read a version themselves (analytics
+    dispatch, connector enumeration, view reads) probe this instead of
+    freezing; staleness is detected via the
     graph's ``version`` counter.  A stale entry can never become fresh again
     (the counter is monotonic), so it is evicted on sight instead of pinning
     the snapshot until the graph dies.
@@ -124,49 +101,21 @@ def discard_snapshot(graph: PropertyGraph) -> None:
 
 
 class StorageManager:
-    """Decides when a live graph is frozen into the shared snapshot cache.
+    """Freezes live graphs into the shared snapshot cache and counts it.
 
     Example:
         >>> from repro.datasets.random_graphs import erdos_renyi_graph
         >>> manager = StorageManager()
         >>> graph = erdos_renyi_graph(64, 256)
-        >>> manager.store_for(graph) is graph   # first sight: not yet proven read-mostly
-        True
-        >>> frozen = manager.store_for(graph)   # second read with no mutation
+        >>> frozen = manager.freeze(graph)
         >>> frozen.backend
         'csr'
+        >>> lookup_snapshot(graph) is frozen   # every consumer now finds it
+        True
     """
 
     def __init__(self) -> None:
         self.stats = StorageStats()
-        self._states: dict[int, _GraphState] = {}
-
-    # -------------------------------------------------------- backend selection
-    def store_for(self, graph: GraphLike) -> GraphLike:
-        """The representation an embedded read should use.
-
-        Stores pass through.  A live graph is served as its registry
-        snapshot when one is fresh, is frozen once it is read-mostly (see
-        :data:`READ_THRESHOLD` and :data:`MIN_EDGES_TO_FREEZE`), and is
-        otherwise served as itself.
-        """
-        if isinstance(graph, GraphStore):
-            return graph
-        state = self._state_of(graph)
-        if state.observed_version == graph.version:
-            state.reads_since_change += 1
-        else:
-            # The graph mutated since we last looked: restart the read streak.
-            state.observed_version = graph.version
-            state.reads_since_change = 1
-        snapshot = lookup_snapshot(graph)
-        if snapshot is not None:
-            self.stats.snapshot_hits += 1
-            return snapshot
-        if (graph.num_edges >= MIN_EDGES_TO_FREEZE
-                and state.reads_since_change >= READ_THRESHOLD):
-            return self.freeze(graph)
-        return graph
 
     def freeze(self, graph: PropertyGraph) -> CSRGraphStore:
         """The CSR snapshot of ``graph`` at its current version.
@@ -180,27 +129,6 @@ class StorageManager:
             return snapshot
         self.stats.snapshots_built += 1
         return _publish_snapshot(graph, CSRGraphStore.from_graph(graph))
-
-    def invalidate(self, graph: PropertyGraph) -> None:
-        """Discard ``graph``'s snapshot and restart its read streak."""
-        state = self._states.get(id(graph))
-        if state is not None:
-            state.reads_since_change = 0
-        discard_snapshot(graph)
-
-    def _state_of(self, graph: PropertyGraph) -> _GraphState:
-        key = id(graph)
-        state = self._states.get(key)
-        if state is None or state.ref() is not graph:
-            # New graph, or a dead graph's id was recycled.
-            state = _GraphState(ref=weakref.ref(graph, self._make_reaper(key)))
-            self._states[key] = state
-        return state
-
-    def _make_reaper(self, key: int):
-        def _reap(_ref: weakref.ref, *, _states=self._states, _key=key) -> None:
-            _states.pop(_key, None)
-        return _reap
 
     # ------------------------------------------------------------ view hooks
     def on_materialized(self, view: "MaterializedView") -> None:
@@ -218,10 +146,8 @@ class StorageManager:
         self.stats.views_refrozen += 1
 
     def on_dropped(self, view: "MaterializedView") -> None:
-        """Catalog hook: a view was dropped or evicted — discard its snapshot
-        and forget its read streak."""
+        """Catalog hook: a view was dropped or evicted — discard its snapshot."""
         discard_snapshot(view.graph)
-        self._states.pop(id(view.graph), None)
         self.stats.views_dropped += 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

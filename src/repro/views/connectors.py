@@ -69,8 +69,8 @@ def _k_hop_paths(graph: PropertyGraph, view: ConnectorView,
                  max_paths: int | None) -> list[tuple[VertexId, ...]]:
     """Paths for k-hop connectors: exactly k hops between the target types.
 
-    When a CSR snapshot is already cached — or the estimated enumeration work
-    justifies freezing one — the index-space kernel enumerates instead,
+    When the graph already has a fresh CSR snapshot (enumeration only looks
+    it up and never freezes) the index-space kernel enumerates instead,
     walking pre-sliced interned adjacency with byte-mask endpoint predicates
     rather than re-walking ``PropertyGraph`` adjacency dicts per source; the
     kernel emits the exact path list — same paths, same order, same
@@ -78,7 +78,7 @@ def _k_hop_paths(graph: PropertyGraph, view: ConnectorView,
     :func:`~repro.graph.transform.enumerate_k_hop_paths` produces.
     """
     assert view.k is not None
-    store = kernels.resolve_store_for_paths(graph, view.k)
+    store = kernels.resolve_store(graph)
     if store is not None:
         return kernels.k_hop_paths(
             store,

@@ -98,9 +98,8 @@ class PreparedDataset:
     connector_graph: PropertyGraph
     base_mode: str  # "filter" for heterogeneous, "raw" for homogeneous
     connector_definition: ConnectorView
-    #: Storage manager that freezes both sides for the run (None keeps
-    #: every query on the dict graphs, the pre-storage-subsystem behaviour).
-    storage: StorageManager | None = None
+    #: Storage manager that freezes both sides for the run.
+    storage: StorageManager
     #: Catalog holding the materialized connector (drives delta maintenance
     #: in the streaming workload).
     catalog: ViewCatalog | None = None
@@ -115,17 +114,15 @@ class PreparedDataset:
 
         Both the base graph and the connector view are read-only for the
         duration of a workload run (Q7's community write-back only annotates
-        vertex properties), so when a storage manager is attached both sides
-        are served from read-optimized snapshots — keeping the base-vs-
-        connector comparison on equal physical footing.
+        vertex properties), so both sides are served from read-optimized
+        snapshots — keeping the base-vs-connector comparison on equal
+        physical footing.
         """
         if mode == "connector":
             # Prefer the live view graph: maintenance may have replaced it.
             graph = self.view.graph if self.view is not None else self.connector_graph
         else:
             graph = self.base_graph
-        if self.storage is None:
-            return graph
         return self.storage.freeze(graph)
 
 
@@ -138,9 +135,8 @@ _FILTER_TYPES = {
 }
 
 
-def prepare_dataset(spec: DatasetSpec, max_connector_paths: int | None = 2_000_000,
-                    storage: StorageManager | None = None,
-                    use_read_stores: bool = True) -> PreparedDataset:
+def prepare_dataset(spec: DatasetSpec,
+                    max_connector_paths: int | None = 2_000_000) -> PreparedDataset:
     """Build the base graph and materialize its 2-hop connector view.
 
     For the heterogeneous datasets the base graph is the summarizer-filtered
@@ -150,13 +146,8 @@ def prepare_dataset(spec: DatasetSpec, max_connector_paths: int | None = 2_000_0
     Args:
         spec: Dataset to prepare.
         max_connector_paths: Cap on paths contracted into the connector.
-        storage: Storage manager to use (a default one is created when
-            ``use_read_stores`` is true and none is given).
-        use_read_stores: Serve workload queries from read-optimized (CSR)
-            snapshots; pass False to force the dict graphs everywhere.
     """
-    if storage is None and use_read_stores:
-        storage = StorageManager()
+    storage = StorageManager()
     raw = spec.build()
     if spec.heterogeneous:
         keep = _FILTER_TYPES.get(spec.name, tuple(raw.vertex_types()))
@@ -183,7 +174,7 @@ def prepare_dataset(spec: DatasetSpec, max_connector_paths: int | None = 2_000_0
         connector_graph=view.graph,
         base_mode=base_mode,
         connector_definition=connector_definition,
-        storage=storage if use_read_stores else None,
+        storage=storage,
         catalog=catalog,
         view=view,
         max_connector_paths=max_connector_paths,
@@ -292,8 +283,7 @@ def run_pattern_workload(prepared: PreparedDataset, engine: str = "planner",
     """
     from repro.core.kaskade import Kaskade  # deferred: core imports workloads' peers
 
-    kaskade = Kaskade(prepared.base_graph,
-                      storage=prepared.storage or StorageManager())
+    kaskade = Kaskade(prepared.base_graph, storage=prepared.storage)
     if prepared.view is not None:
         kaskade.catalog.register(prepared.view)
     records: list[PatternQueryRecord] = []

@@ -4,9 +4,9 @@ Every public analytics function dispatches to the index-space kernels when
 handed a ``CSRGraphStore`` and to the dict-store reference otherwise; these
 tests pin the two paths to *row-level* equality — for every workload query
 (Q1–Q8), across random graphs, edge-label filters, and every traversal
-direction — plus the dispatch rules themselves (auto-freeze threshold,
-``ANALYTICS_FORCE_REFERENCE`` escape hatch) and the CSR-backed connector
-path enumeration.
+direction — plus the dispatch rule itself (kernels run on a fresh registry
+snapshot and never build one, ``ANALYTICS_FORCE_REFERENCE`` escape hatch)
+and the CSR-backed connector path enumeration.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.datasets.random_graphs import erdos_renyi_graph, power_law_graph
 from repro.errors import VertexNotFoundError
 from repro.graph.property_graph import PropertyGraph
 from repro.storage.csr import CSRGraphStore
+from repro.storage.manager import StorageManager, discard_snapshot, lookup_snapshot
 from repro.views.connectors import (
     count_connector_edges,
     count_connector_paths,
@@ -201,17 +202,17 @@ def test_both_direction_neighbors_deduped():
 
 
 # ------------------------------------------------------------------- dispatch
-def test_auto_freeze_dispatch(monkeypatch):
+def test_explicit_freeze_dispatch():
     graph = summarized_provenance_graph(num_jobs=40, seed=2)
-    assert kernels.engine_for(graph) == "reference"  # below the size floor
-    monkeypatch.setattr(kernels, "AUTO_FREEZE_MIN_EDGES", 1)
+    assert kernels.engine_for(graph) == "reference"  # nothing frozen yet
+    assert kernels.resolve_store(graph) is None
+    assert lookup_snapshot(graph) is None            # dispatch never freezes
+    store = StorageManager().freeze(graph)
     assert kernels.engine_for(graph) == "kernel"
-    store = kernels.resolve_store(graph)
-    assert isinstance(store, CSRGraphStore)
-    # The snapshot is cached until the graph version moves.
+    # The snapshot serves until the graph version moves.
     assert kernels.resolve_store(graph) is store
     graph.add_vertex("fresh", "Job")
-    assert kernels.resolve_store(graph) is not store
+    assert kernels.resolve_store(graph) is None
 
 
 def test_force_reference_env(monkeypatch):
@@ -256,14 +257,12 @@ def test_zero_hops_never_validates_anchors():
             == [])
 
 
-def test_invalidate_retracts_registry_snapshot():
-    from repro.storage.manager import StorageManager, lookup_snapshot
-
+def test_discard_retracts_registry_snapshot():
     graph = summarized_provenance_graph(num_jobs=40, seed=2)
     manager = StorageManager()
     snapshot = manager.freeze(graph)
     assert lookup_snapshot(graph) is snapshot
-    manager.invalidate(graph)
+    discard_snapshot(graph)
     assert lookup_snapshot(graph) is None
     assert kernels.engine_for(graph) == "reference"
     # A stale entry is evicted on sight, not pinned until the graph dies.
@@ -272,16 +271,13 @@ def test_invalidate_retracts_registry_snapshot():
     assert lookup_snapshot(graph) is None
 
 
-def test_dispatch_adopts_any_managers_snapshot_regardless_of_size():
-    from repro.storage.manager import StorageManager
-
+def test_dispatch_adopts_any_managers_snapshot_of_a_small_graph():
     graph = summarized_provenance_graph(num_jobs=20, seed=2)
-    assert graph.num_edges < kernels.AUTO_FREEZE_MIN_EDGES
     assert kernels.resolve_store(graph) is None
     snapshot = StorageManager().freeze(graph)
     assert kernels.resolve_store(graph) is snapshot
-    assert kernels.resolve_store_for_paths(graph, 2) is snapshot
     assert kernels.engine_for(graph) == "kernel"
+    discard_snapshot(graph)
 
 
 def test_bulk_counts_unknown_anchor_raises_like_reference():
@@ -295,16 +291,13 @@ def test_bulk_counts_unknown_anchor_raises_like_reference():
 
 def test_dispatch_adopts_snapshots_from_any_manager():
     """A Kaskade/StorageManager freeze is reused by the kernel dispatch."""
-    from repro.storage.manager import StorageManager
-
     graph = summarized_provenance_graph(num_jobs=40, seed=2)
-    assert kernels.engine_for(graph) == "reference"  # below the size floor
+    assert kernels.engine_for(graph) == "reference"  # nothing frozen yet
     manager = StorageManager()
     snapshot = manager.freeze(graph)
     # The published snapshot flips the dispatch decision without a rebuild.
     assert kernels.engine_for(graph) == "kernel"
     assert kernels.resolve_store(graph) is snapshot
-    assert kernels.resolve_store_for_paths(graph, 2) is snapshot
     # A second manager adopts instead of rebuilding.
     other = StorageManager()
     assert other.freeze(graph) is snapshot
@@ -357,10 +350,14 @@ def test_connector_materialization_matches_reference(monkeypatch, view):
     capped = count_connector_paths(graph, view, max_paths=max(reference_paths // 2, 1))
 
     monkeypatch.delenv(kernels.FORCE_REFERENCE_ENV)
-    monkeypatch.setattr(kernels, "AUTO_FREEZE_MIN_EDGES", 1)
-    monkeypatch.setattr(kernels, "PATH_KERNEL_BUILD_FACTOR", 0.0)
-    assert kernels.resolve_store_for_paths(graph, view.k) is not None
+    snapshot = StorageManager().freeze(graph)
+    assert kernels.resolve_store(graph) is snapshot
     kernel_view = materialize_connector(graph, view)
+    kernel_edges = count_connector_edges(graph, view)
+    kernel_paths = count_connector_paths(graph, view)
+    kernel_capped = count_connector_paths(
+        graph, view, max_paths=max(reference_paths // 2, 1))
+    discard_snapshot(graph)
 
     assert ({(e.source, e.target) for e in kernel_view.edges()}
             == {(e.source, e.target) for e in reference.edges()})
@@ -371,18 +368,53 @@ def test_connector_materialization_matches_reference(monkeypatch, view):
     by_pair_ker = {(e.source, e.target): (e.get("path_count"), e.get("hops"))
                    for e in kernel_view.edges()}
     assert by_pair_ker == by_pair_ref
-    assert count_connector_edges(graph, view) == reference_edges
-    assert count_connector_paths(graph, view) == reference_paths
-    assert count_connector_paths(
-        graph, view, max_paths=max(reference_paths // 2, 1)) == capped
+    assert kernel_edges == reference_edges
+    assert kernel_paths == reference_paths
+    assert kernel_capped == capped
 
 
 def test_path_dispatch_prefers_registry_snapshot(monkeypatch):
-    """A fresh cached snapshot is reused without paying a freeze."""
+    """Connector enumeration runs on a fresh registry snapshot without
+    paying a freeze, and on the reference once the snapshot is stale."""
     graph = summarized_provenance_graph(num_jobs=60, seed=13)
-    monkeypatch.setattr(kernels, "AUTO_FREEZE_MIN_EDGES", 1)
-    store = kernels.resolve_store(graph)   # caches a snapshot
-    monkeypatch.setattr(kernels, "AUTO_FREEZE_MIN_EDGES", 10 ** 9)
-    assert kernels.resolve_store_for_paths(graph, 2) is store
+    view = ConnectorView(name="any2", connector_kind="k_hop", k=2)
+    seen = []
+    k_hop_paths = kernels.k_hop_paths
+
+    def spy(store, *args, **kwargs):
+        seen.append(store)
+        return k_hop_paths(store, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "k_hop_paths", spy)
+    store = StorageManager().freeze(graph)
+    materialize_connector(graph, view)
+    assert seen and all(used is store for used in seen)
+    calls = len(seen)
     graph.add_vertex("fresh", "Job")       # version moves, cache is stale
-    assert kernels.resolve_store_for_paths(graph, 2) is None
+    materialize_connector(graph, view)
+    assert len(seen) == calls
+    assert lookup_snapshot(graph) is None
+
+
+def test_analytics_and_connector_enumeration_never_freeze():
+    """Dispatch only looks snapshots up: a dict graph with no snapshot runs on
+    the reference and stays unfrozen, with the same results the kernels give
+    once the graph is frozen."""
+    graph = erdos_renyi_graph(500, 5000, seed=2)
+    view = ConnectorView(name="any2", connector_kind="k_hop", k=2)
+    reference_counts = bulk_k_hop_counts(graph, 2)
+    reference = materialize_connector(graph, view)
+    assert lookup_snapshot(graph) is None
+
+    store = StorageManager().freeze(graph)
+    kernel_counts = bulk_k_hop_counts(store, 2)
+    kernel_view = materialize_connector(graph, view)
+    discard_snapshot(graph)
+
+    assert kernel_counts == reference_counts
+    assert ({(e.source, e.target, e.get("path_count"), e.get("hops"))
+             for e in kernel_view.edges()}
+            == {(e.source, e.target, e.get("path_count"), e.get("hops"))
+                for e in reference.edges()})
+    assert (sorted(kernel_view.vertex_ids(), key=str)
+            == sorted(reference.vertex_ids(), key=str))

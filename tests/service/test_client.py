@@ -1,16 +1,11 @@
-"""KaskadeClient: retries, deadlines, Retry-After, circuit breaking."""
+"""KaskadeClient: retries, deadlines, Retry-After."""
 
 import json
 
 import pytest
 
-from repro.errors import CircuitOpenError, DeadlineExceededError, ServiceError
-from repro.service.client import (
-    RETRYABLE_STATUSES,
-    CircuitBreaker,
-    KaskadeClient,
-    RetryPolicy,
-)
+from repro.errors import DeadlineExceededError, ServiceError
+from repro.service.client import RETRYABLE_STATUSES, KaskadeClient, RetryPolicy
 
 
 class ScriptedTransport:
@@ -88,6 +83,23 @@ class TestRetries:
             client.request("GET", "/health")
         assert len(transport.calls) == 4
 
+    def test_every_retryable_status_is_retried(self):
+        transport = ScriptedTransport(
+            (429, {}, {"error": "shed"}),
+            (500, {}, {"error": "boom"}),
+            (503, {}, {"status": "recovering"}),
+            (200, {}, {}))
+        client, sleeps = make_client(transport)
+        response = client.request("GET", "/health")
+        assert response.ok and response.attempts == 4
+        assert len(sleeps) == 3
+
+    def test_ready_false_on_503(self):
+        transport = ScriptedTransport((503, {}, {"status": "recovering"}))
+        client, _ = make_client(
+            transport, retry=RetryPolicy(max_attempts=1, seed=0))
+        assert client.ready() is False
+
 
 class TestDeadlines:
     def test_exhausted_budget_raises_deadline_error(self):
@@ -110,82 +122,3 @@ class TestDeadlines:
         assert payload["max_work"] == 500
         client.query("MATCH (a:Job) RETURN a", deadline=0.5, max_work=7)
         assert json.loads(transport.calls[1][2])["max_work"] == 7
-
-
-class TestCircuitBreaker:
-    def test_threshold_trips_open_and_reset_goes_half_open(self):
-        clock = [0.0]
-        breaker = CircuitBreaker("b", failure_threshold=2, reset_seconds=5.0,
-                                 clock=lambda: clock[0])
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.retry_after_seconds == pytest.approx(5.0)
-        clock[0] = 6.0
-        assert breaker.state == "half-open"
-        assert breaker.allow()       # the single probe
-        assert not breaker.allow()   # second caller still refused
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_failed_probe_reopens_for_full_period(self):
-        clock = [0.0]
-        breaker = CircuitBreaker("b", failure_threshold=1, reset_seconds=5.0,
-                                 clock=lambda: clock[0])
-        breaker.record_failure()
-        clock[0] = 6.0
-        assert breaker.allow()
-        breaker.record_failure()  # probe failed
-        assert breaker.state == "open"
-        assert breaker.retry_after_seconds == pytest.approx(5.0)
-
-    def test_window_prunes_stale_failures(self):
-        clock = [0.0]
-        breaker = CircuitBreaker("b", failure_threshold=3, window_seconds=10.0,
-                                 clock=lambda: clock[0])
-        breaker.record_failure()
-        clock[0] = 11.0
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.recent_failures == 2  # the first one aged out
-        assert breaker.state == "closed"
-
-    def test_client_raises_circuit_open_without_attempting(self):
-        breaker = CircuitBreaker("svc", failure_threshold=1)
-        breaker.record_failure()
-        transport = ScriptedTransport((200, {}, {}))
-        client, _ = make_client(transport, breaker=breaker)
-        with pytest.raises(CircuitOpenError) as excinfo:
-            client.request("GET", "/health")
-        assert excinfo.value.retry_after_seconds > 0
-        assert transport.calls == []
-
-    def test_server_errors_trip_breaker_but_sheds_do_not(self):
-        breaker = CircuitBreaker("svc", failure_threshold=10)
-        transport = ScriptedTransport(
-            (429, {}, {"error": "shed"}),
-            (500, {}, {"error": "boom"}),
-            (200, {}, {}))
-        client, _ = make_client(transport, breaker=breaker)
-        client.request("GET", "/health")
-        # 429 is the server protecting itself; only the 500 counted.
-        assert breaker.recent_failures == 0  # success cleared the window
-        transport2 = ScriptedTransport((500, {}, {"error": "boom"}),
-                                       (500, {}, {"error": "boom"}),
-                                       (200, {}, {}))
-        breaker2 = CircuitBreaker("svc2", failure_threshold=10)
-        client2, _ = make_client(transport2, breaker=breaker2,
-                                 retry=RetryPolicy(max_attempts=2,
-                                                   base_delay=0.0, seed=0))
-        with pytest.raises(ServiceError):
-            client2.request("GET", "/health")
-        assert breaker2.recent_failures == 2
-
-    def test_ready_false_on_503(self):
-        transport = ScriptedTransport((503, {}, {"status": "recovering"}))
-        client, _ = make_client(
-            transport, retry=RetryPolicy(max_attempts=1, seed=0))
-        assert client.ready() is False
-

@@ -1,18 +1,14 @@
-"""StorageManager: the read-streak freeze rule, view freezing, and the one
-shared snapshot cache."""
+"""StorageManager: the one freeze trigger, view freezing, and the one shared
+snapshot cache."""
 
+from repro.analytics import kernels
 from repro.core import Kaskade
 from repro.datasets.provenance import provenance_graph, summarized_provenance_graph
 from repro.datasets.random_graphs import erdos_renyi_graph
 from repro.service.mvcc import SnapshotManager
 from repro.storage.base import GraphStore, PropertyGraphStore, ensure_store
 from repro.storage.csr import CSRGraphStore
-from repro.storage.manager import (
-    MIN_EDGES_TO_FREEZE,
-    StorageManager,
-    discard_snapshot,
-    lookup_snapshot,
-)
+from repro.storage.manager import StorageManager, discard_snapshot, lookup_snapshot
 from repro.views.catalog import ViewCatalog
 from repro.views.definitions import job_to_job_connector, keep_types_summarizer
 
@@ -22,28 +18,11 @@ def big_graph():
 
 
 class TestBackendSelection:
-    def test_small_graphs_stay_on_dict(self):
-        manager = StorageManager()
-        graph = erdos_renyi_graph(40, MIN_EDGES_TO_FREEZE - 1, seed=2)
-        for _ in range(5):
-            assert manager.store_for(graph) is graph
-        assert manager.stats.snapshots_built == 0
-
-    def test_auto_freezes_after_read_threshold(self):
-        manager = StorageManager()
-        graph = big_graph()
-        assert manager.store_for(graph) is graph        # read 1
-        frozen = manager.store_for(graph)               # read 2 -> freeze
-        assert isinstance(frozen, CSRGraphStore)
-        assert manager.store_for(graph) is frozen       # cached snapshot
-        assert manager.stats.snapshots_built == 1
-        assert manager.stats.snapshot_hits >= 1
-
-    def test_registry_snapshot_is_served_on_first_read(self):
+    def test_registry_snapshot_is_reused_by_a_new_manager(self):
         graph = big_graph()
         frozen = StorageManager().freeze(graph)
         manager = StorageManager()
-        assert manager.store_for(graph) is frozen
+        assert manager.freeze(graph) is frozen
         assert manager.stats.snapshots_built == 0
 
     def test_freeze_builds_once_then_reuses(self):
@@ -56,48 +35,25 @@ class TestBackendSelection:
         assert lookup_snapshot(graph) is frozen
         assert manager.stats.snapshots_built == 1
 
-    def test_mutation_invalidates_snapshot(self):
-        manager = StorageManager()
-        graph = big_graph()
-        manager.store_for(graph)
-        frozen = manager.store_for(graph)
-        assert isinstance(frozen, CSRGraphStore)
-        graph.add_vertex("extra", "Vertex")
-        served = manager.store_for(graph)               # stale -> dict again
-        assert served is graph
-        refrozen = manager.store_for(graph)             # new streak -> refreeze
-        assert isinstance(refrozen, CSRGraphStore)
-        assert refrozen is not frozen
-        assert refrozen.has_vertex("extra")
-
-    def test_existing_stores_pass_through(self):
-        manager = StorageManager()
+    def test_existing_stores_pass_through_dispatch(self):
         graph = big_graph()
         csr = CSRGraphStore.from_graph(graph)
-        assert manager.store_for(csr) is csr
+        assert kernels.resolve_store(csr) is csr
         adapter = PropertyGraphStore(graph)
-        assert manager.store_for(adapter) is adapter
+        assert kernels.resolve_store(adapter) is None   # nothing frozen yet
+        frozen = StorageManager().freeze(graph)
+        assert kernels.resolve_store(adapter) is frozen
+        discard_snapshot(graph)
 
-    def test_invalidate_discards_snapshot(self):
+    def test_freeze_has_no_size_floor(self):
         manager = StorageManager()
-        graph = big_graph()
-        manager.store_for(graph)
-        frozen = manager.store_for(graph)
-        assert isinstance(frozen, CSRGraphStore)
-        manager.invalidate(graph)
-        assert lookup_snapshot(graph) is None
-        # The read streak restarted, so the next read is served from dict.
-        assert manager.store_for(graph) is graph
-
-
-    def test_freeze_ignores_the_size_floor(self):
-        manager = StorageManager()
-        graph = erdos_renyi_graph(20, MIN_EDGES_TO_FREEZE // 4, seed=2)
+        graph = erdos_renyi_graph(20, 32, seed=2)
         frozen = manager.freeze(graph)
         assert isinstance(frozen, CSRGraphStore)
         assert frozen.num_edges == graph.num_edges
-        # store_for's floor does not hide a snapshot that is already built.
-        assert StorageManager().store_for(graph) is frozen
+        other = StorageManager()
+        assert other.freeze(graph) is frozen
+        assert other.stats.snapshots_built == 0
 
     def test_managers_share_one_snapshot(self):
         graph = big_graph()
@@ -118,11 +74,41 @@ class TestBackendSelection:
         assert rebuilt.source_version == graph.version
         assert manager.stats.snapshots_built == 2
 
+    def test_small_graphs_stay_on_dict(self):
+        graph = erdos_renyi_graph(40, 32, seed=2)
+        for _ in range(5):
+            assert kernels.resolve_store(graph) is None
+            assert kernels.engine_for(graph) == "reference"
+        assert lookup_snapshot(graph) is None
+
+    def test_mutation_invalidates_snapshot(self):
+        manager = StorageManager()
+        graph = big_graph()
+        frozen = manager.freeze(graph)
+        assert kernels.resolve_store(graph) is frozen
+        graph.add_vertex("extra", "Vertex")
+        assert kernels.resolve_store(graph) is None     # stale -> dict again
+        refrozen = manager.freeze(graph)
+        assert isinstance(refrozen, CSRGraphStore)
+        assert refrozen is not frozen
+        assert refrozen.has_vertex("extra")
+        assert not frozen.has_vertex("extra")
+
+    def test_discard_then_freeze_rebuilds(self):
+        manager = StorageManager()
+        graph = big_graph()
+        frozen = manager.freeze(graph)
+        discard_snapshot(graph)
+        assert lookup_snapshot(graph) is None
+        assert kernels.resolve_store(graph) is None
+        rebuilt = manager.freeze(graph)
+        assert rebuilt is not frozen
+        assert lookup_snapshot(graph) is rebuilt
+        assert manager.stats.snapshots_built == 2
+
     def test_discard_of_an_unfrozen_graph_is_a_noop(self):
         graph = big_graph()
         discard_snapshot(graph)
-        assert lookup_snapshot(graph) is None
-        StorageManager().invalidate(graph)  # no state, no snapshot: no error
         assert lookup_snapshot(graph) is None
 
     def test_registry_entry_dies_with_its_graph(self):
@@ -178,7 +164,7 @@ class TestViewFreezing:
         catalog = ViewCatalog(storage=manager)
         graph = provenance_graph(num_jobs=8, seed=3)
         view = catalog.materialize(graph, job_to_job_connector(2))
-        assert view.num_edges < MIN_EDGES_TO_FREEZE
+        assert view.num_edges == 9
         assert isinstance(view.read_store(), CSRGraphStore)
 
     def test_register_freezes_view(self):
@@ -192,7 +178,7 @@ class TestViewFreezing:
     def test_embedded_reads_of_a_view_graph_reuse_its_snapshot(self):
         _, view = _materialized(StorageManager())
         other = StorageManager()
-        assert other.store_for(view.graph) is view.read_store()
+        assert other.freeze(view.graph) is view.read_store()
         assert other.stats.snapshots_built == 0
 
     def test_stale_view_snapshot_falls_back_to_graph(self):
@@ -258,6 +244,51 @@ class TestDropHook:
         assert lookup_snapshot(first.graph) is None
         assert lookup_snapshot(second.graph) is None
         assert manager.stats.views_dropped == 2
+
+
+class TestEmbeddedReads:
+    def test_first_read_runs_on_the_snapshot_it_publishes(self):
+        graph = provenance_graph(num_jobs=20, seed=3)
+        kaskade = Kaskade(graph)
+        stores = []
+        execute_on = kaskade.execute_on
+
+        def spy(query, base, *args, **kwargs):
+            stores.append(base)
+            return execute_on(query, base, *args, **kwargs)
+
+        kaskade.execute_on = spy
+        kaskade.execute(kaskade.parse("MATCH (a:Job)-[:WRITES_TO]->(f:File) RETURN a, f"))
+        assert len(stores) == 1
+        assert isinstance(stores[0], CSRGraphStore)
+        assert lookup_snapshot(graph) is stores[0]
+        assert kaskade.storage.stats.snapshots_built == 1
+
+    def test_repeated_reads_reuse_the_snapshot(self):
+        graph = provenance_graph(num_jobs=20, seed=3)
+        kaskade = Kaskade(graph)
+        query = kaskade.parse("MATCH (a:Job)-[:WRITES_TO]->(f:File) RETURN a, f")
+        first = kaskade.execute(query)
+        second = kaskade.execute(query)
+        assert len(first.result) == len(second.result)
+        assert kaskade.storage.stats.snapshots_built == 1
+        assert kaskade.storage.stats.snapshot_hits >= 1
+
+    def test_read_after_mutation_sees_the_new_version(self):
+        graph = provenance_graph(num_jobs=20, seed=3)
+        kaskade = Kaskade(graph)
+        query = kaskade.parse("MATCH (a:Job)-[:WRITES_TO]->(f:File) RETURN a, f")
+        before = kaskade.execute(query)
+        stale = lookup_snapshot(graph)
+        graph.add_vertex("fresh_job", "Job")
+        graph.add_vertex("fresh_file", "File")
+        graph.add_edge("fresh_job", "fresh_file", "WRITES_TO")
+        after = kaskade.execute(query)
+        assert len(after.result) == len(before.result) + 1
+        assert after.executed_version == graph.version
+        assert lookup_snapshot(graph) is not stale
+        assert lookup_snapshot(graph).source_version == graph.version
+        assert kaskade.storage.stats.snapshots_built == 2
 
 
 class TestOneSnapshotCache:
@@ -346,7 +377,7 @@ class TestSnapshotRegistryThreadSafety:
             for i in range(50):
                 graph.add_edge(jobs[i % len(jobs)],
                                jobs[(i + 1) % len(jobs)], "CALLS")
-                manager.invalidate(graph)
+                discard_snapshot(graph)
             stop.set()
 
         threads = [threading.Thread(target=freezer) for _ in range(4)]

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.datasets import dataset
+from repro.storage.csr import CSRGraphStore
+from repro.storage.manager import lookup_snapshot
 from repro.workloads import (
     WorkloadQuery,
     build_workload,
@@ -68,6 +70,15 @@ class TestPreparedDatasets:
         assert roadnet_prepared.base_mode == "raw"
         assert roadnet_prepared.base_graph.num_edges > 0
         assert roadnet_prepared.connector_graph.num_edges > 0
+
+    def test_graph_for_serves_registry_snapshots(self, prov_prepared):
+        base = prov_prepared.graph_for(prov_prepared.base_mode)
+        assert isinstance(base, CSRGraphStore)
+        assert lookup_snapshot(prov_prepared.base_graph) is base
+        assert prov_prepared.graph_for(prov_prepared.base_mode) is base
+        connector = prov_prepared.graph_for("connector")
+        assert isinstance(connector, CSRGraphStore)
+        assert connector is prov_prepared.view.read_store()
 
 
 class TestRunner:
